@@ -7,7 +7,6 @@
 //! repro --md            # emit EXPERIMENTS.md content (paper vs measured)
 //! repro --out DIR       # write each artifact to DIR/<id>.txt
 //! repro --list          # list experiment ids
-//! repro --pipeline-bench  # time pass pipeline vs pre-refactor baseline
 //! repro --ctx-bench     # time columnar context build vs PR 2 path,
 //!                       # emit BENCH_context.json
 //! repro --ctx-bench --smoke  # small trace, equivalence assertions only
@@ -42,12 +41,12 @@ use ddos_report::{compare, paper_comparisons, render, EXPERIMENTS};
 use ddos_schema::{codec, csv, framed, Seconds};
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
+use ddos_testkit::baseline_report;
 
 fn main() {
     let mut scale = 1.0f64;
     let mut ids: Vec<String> = Vec::new();
     let mut emit_md = false;
-    let mut pipeline_bench = false;
     let mut ctx_bench = false;
     let mut epoch_bench = false;
     let mut pass_bench = false;
@@ -76,7 +75,6 @@ fn main() {
                 telemetry_out = Some(args.next().expect("--telemetry-json takes a file"));
             }
             "--md" => emit_md = true,
-            "--pipeline-bench" => pipeline_bench = true,
             "--ctx-bench" => ctx_bench = true,
             "--epoch-bench" => epoch_bench = true,
             "--pass-bench" => pass_bench = true,
@@ -129,10 +127,6 @@ fn main() {
     }
     if serve_bench {
         run_serve_bench(scale, smoke);
-        return;
-    }
-    if pipeline_bench {
-        run_pipeline_bench(scale);
         return;
     }
     if report_digest {
@@ -209,58 +203,6 @@ fn main() {
         std::fs::write(&path, md).expect("writing comparison");
         eprintln!("wrote {path}");
     }
-}
-
-/// Times the pass-based pipeline against the pre-refactor serial path
-/// on a freshly generated trace and prints per-pass timings plus the
-/// end-to-end speedup.
-fn run_pipeline_bench(scale: f64) {
-    eprintln!("generating trace at scale {scale}...");
-    let trace = generate(&SimConfig {
-        scale,
-        ..SimConfig::default()
-    });
-    eprintln!("generated {} attacks", trace.dataset.len());
-    let ds = &trace.dataset;
-
-    // Warm-up: touch every path once so page cache / allocator state is
-    // comparable, then time each.
-    let _ = AnalysisReport::run(ds);
-    let _ = Analysis::new(ds).parallel(false).run();
-    let _ = Analysis::new(ds).baseline().run();
-
-    let t0 = std::time::Instant::now();
-    let baseline = Analysis::new(ds).baseline().run();
-    let baseline_elapsed = t0.elapsed();
-
-    let t1 = std::time::Instant::now();
-    let serial = Analysis::new(ds).parallel(false).run();
-    let serial_elapsed = t1.elapsed();
-
-    let t2 = std::time::Instant::now();
-    let report = AnalysisReport::run(ds);
-    let pipeline_elapsed = t2.elapsed();
-
-    // The reports must agree before the timing comparison means anything.
-    let a = serde_json::to_string(&baseline).expect("baseline serializes");
-    let b = serde_json::to_string(&report).expect("report serializes");
-    let c = serde_json::to_string(&serial).expect("serial report serializes");
-    assert_eq!(a, b, "pipeline and baseline reports diverged");
-    assert_eq!(b, c, "parallel and serial reports diverged");
-
-    // The serial schedule's per-pass numbers are exact (no thread
-    // interleaving inflates them), so show that table.
-    println!("{}", serial.telemetry.render());
-    let base_s = baseline_elapsed.as_secs_f64();
-    let serial_s = serial_elapsed.as_secs_f64();
-    let pipe_s = pipeline_elapsed.as_secs_f64();
-    println!("baseline (pre-refactor serial): {base_s:>8.3} s");
-    println!("pass pipeline (serial):         {serial_s:>8.3} s");
-    println!("pass pipeline (parallel):       {pipe_s:>8.3} s");
-    println!(
-        "speedup:                        {:>8.2}x",
-        base_s / pipe_s.min(serial_s)
-    );
 }
 
 /// Times the context build across its three implementations — the PR 2
@@ -399,7 +341,7 @@ fn run_ctx_bench(scale: f64, smoke: bool) {
 ///
 /// The headline ratio is `append_one_epoch_s / monolithic_s`: what one
 /// more week of trace costs with the epoch engine versus re-running the
-/// pre-refactor monolithic pipeline from scratch.
+/// pre-refactor monolithic pipeline ([`baseline_report`]) from scratch.
 fn run_epoch_bench(scale: f64, smoke: bool) {
     let cfg = if smoke {
         SimConfig::small()
@@ -467,7 +409,7 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
 
     // Warm-up, then interleaved best-of-N rounds: systematic drift hits
     // every variant alike instead of whichever ran last.
-    let _ = Analysis::new(ds).baseline().run();
+    let _ = baseline_report(ds, ArimaSpec::DEFAULT);
     let rounds = if smoke { 1 } else { 3 };
     let mut monolithic_s = f64::MAX;
     let mut folded_s = f64::MAX;
@@ -475,7 +417,7 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
     let mut append_one_s = f64::MAX;
     for _ in 0..rounds {
         let t = std::time::Instant::now();
-        let r = Analysis::new(ds).baseline().run();
+        let r = baseline_report(ds, ArimaSpec::DEFAULT);
         monolithic_s = monolithic_s.min(t.elapsed().as_secs_f64());
         drop(std::hint::black_box(r));
 
@@ -647,10 +589,10 @@ fn run_pass_bench(scale: f64, smoke: bool) {
     }
 
     // End to end: two baselines. The in-binary one pins the pipeline to
-    // the reference policy — PR 6's gated algorithms, but sharing PR 7's
-    // ungated infrastructure (fused resolver scheduling, scratch reuse),
-    // so it understates the release-over-release delta; it is the
-    // bit-identity anchor for the per-pass table above. The asserted
+    // the reference policy — the pre-kernel pass bodies over the same
+    // context build (one family resolver serves every policy), so its
+    // ratio compares pass bodies only; it is the bit-identity anchor
+    // for the per-pass table above. The asserted
     // baseline is PR 6's committed end-to-end figure (see
     // `PR6_PIPELINE_PARALLEL_S`), measured by this same binary's
     // `--ctx-bench` on this container at the PR 6 commit.

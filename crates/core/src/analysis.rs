@@ -1,14 +1,11 @@
 //! The unified entry point: one builder for every way to run the
 //! pipeline.
 //!
-//! [`Analysis`] replaces the twelve historical `run_*`/`try_run_*`
-//! associated functions on [`AnalysisReport`] (now thin `#[deprecated]`
-//! shims). A builder names a source (a [`Dataset`], or a prebuilt
+//! A builder names a source (a [`Dataset`], or a prebuilt
 //! [`AnalysisContext`] via [`Analysis::over`]), optionally selects an
 //! engine (monolithic by default; [`Analysis::epochs`] for the sharded
-//! fold, [`Analysis::incremental`] for one-epoch-at-a-time appends,
-//! [`Analysis::baseline`] for the pre-refactor reference), tunes
-//! [`PipelineOptions`] through the same setter names, and runs:
+//! fold, [`Analysis::incremental`] for one-epoch-at-a-time appends),
+//! tunes [`PipelineOptions`] through the same setter names, and runs:
 //!
 //! ```ignore
 //! let report = Analysis::new(&ds)
@@ -20,9 +17,8 @@
 //!     .try_run()?;
 //! ```
 //!
-//! Every spelling serializes byte-identically — the conformance suite
-//! and the builder-equivalence tests in ddos-testkit pin each legacy
-//! entry point against its builder form.
+//! Every spelling serializes byte-identically — the variant matrix in
+//! ddos-testkit pins each engine against the committed golden digest.
 
 use ddos_obs::Obs;
 use ddos_schema::{Dataset, Seconds};
@@ -55,9 +51,6 @@ enum Mode {
     Folded,
     /// One-epoch-at-a-time appends through [`IncrementalPipeline`].
     Incremental,
-    /// The pre-refactor reference pipeline (ignores the scheduler,
-    /// telemetry, and kernel axes by construction).
-    Baseline,
 }
 
 /// The one-stop pipeline builder — see the [module docs](self).
@@ -85,9 +78,9 @@ impl<'d> Analysis<'d> {
     /// Starts a builder that runs the pass scheduler over a context
     /// built elsewhere (the conformance suite feeds the same passes a
     /// columnar and a reference-built context this way). Engine
-    /// selectors ([`Analysis::epochs`], [`Analysis::incremental`],
-    /// [`Analysis::baseline`]) are incompatible with a prebuilt context
-    /// and panic at [`Analysis::try_run`]. Without [`Analysis::obs`] no
+    /// selectors ([`Analysis::epochs`], [`Analysis::incremental`]) are
+    /// incompatible with a prebuilt context and panic at
+    /// [`Analysis::try_run`]. Without [`Analysis::obs`] no
     /// telemetry is recorded — the context build, where most of it
     /// lives, already happened.
     pub fn over(ctx: &'d AnalysisContext<'d>) -> Analysis<'d> {
@@ -166,15 +159,6 @@ impl<'d> Analysis<'d> {
         self
     }
 
-    /// Selects the pre-refactor monolithic reference pipeline (every
-    /// analysis rescans the dataset for itself). Honors only the ARIMA
-    /// spec; the scheduler, telemetry, and kernel axes don't exist on
-    /// this path.
-    pub fn baseline(mut self) -> Analysis<'d> {
-        self.mode = Mode::Baseline;
-        self
-    }
-
     /// Runs the configured pipeline, panicking on an injected fault —
     /// the common case with no fault plan installed.
     pub fn run(&self) -> AnalysisReport {
@@ -198,8 +182,8 @@ impl<'d> Analysis<'d> {
             Some(obs) => obs,
             None => {
                 owned = match self.source {
-                    // `over` without a recorder keeps the historical
-                    // `run_on` contract: no telemetry at all.
+                    // `over` without a recorder records no telemetry at
+                    // all: the context build already happened.
                     Source::Context(_) => Obs::disabled(),
                     Source::Dataset(_) if self.opts.telemetry => Obs::enabled(),
                     Source::Dataset(_) => Obs::disabled(),
@@ -212,7 +196,7 @@ impl<'d> Analysis<'d> {
                 assert!(
                     self.mode == Mode::Batch,
                     "Analysis::over(..) runs the pass scheduler over a prebuilt context; \
-                     engine selectors (.epochs/.incremental/.baseline) need a Dataset \
+                     engine selectors (.epochs/.incremental) need a Dataset \
                      source (Analysis::new)"
                 );
                 pipeline::run_over(ctx, self.opts.parallel, obs)
@@ -234,7 +218,6 @@ impl<'d> Analysis<'d> {
                         None => IncrementalPipeline::new(ds, self.opts, len).try_into_report(),
                     }
                 }
-                Mode::Baseline => Ok(pipeline::baseline_report(ds, self.opts.spec)),
             },
         }
     }
@@ -275,7 +258,6 @@ mod tests {
             )
         );
         assert_eq!(batch, json(&Analysis::new(&ds).incremental().run()));
-        assert_eq!(batch, json(&Analysis::new(&ds).baseline().run()));
         assert_eq!(
             batch,
             json(&Analysis::new(&ds).kernels(KernelPolicy::Reference).run())

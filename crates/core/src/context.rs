@@ -157,116 +157,24 @@ struct FamilyChunk {
 }
 
 /// Resolves one chunk of a family's attacks through the columnar
-/// substrate: dictionary ids → bot rows, then the indexed dispersion
-/// kernel reads the shared trig column in place through the row list —
-/// no per-snapshot gather copy. Mirrors the scalar loop of
-/// [`AnalysisContext::build_reference`] expression for expression.
+/// substrate in one sweep that drives both substreams: the weekly stamp
+/// dedup (bots recur across many attacks of a week, so one stamp per
+/// dictionary id records each week's first participations flat, and the
+/// maps then build reserved at exactly their final size) and the
+/// dispersion snapshot. For the common fully-resolved attack the sweep
+/// fuses element-for-element: one loop over the id slice both stamps
+/// the weekly dedup and folds the dispersion center sum (a resolved id
+/// *is* its trig row), so each id slice is walked once. The center
+/// fold pushes in id order and [`dispersion_precomp_indexed_presummed`]
+/// finishes with the one-call kernel's exact expressions, so every
+/// output bit matches [`AnalysisContext::build_reference`]; the context
+/// equivalence suite pins that for every chunking. At paper scale this
+/// is the context build's hottest loop.
+///
+/// `ids_of(i)` mirrors `attacks[i].sources` one-to-one, so a
+/// first-of-the-week record reads its IP from the attack's own list
+/// rather than through the dictionary column.
 fn resolve_family_chunk(
-    dataset: &Dataset,
-    bots: &BotTable,
-    sources: &SourceTable,
-    attack_indices: &[u32],
-    num_weeks: usize,
-    stamp: &mut WeekStamp,
-    kernel: &KernelCounters,
-) -> FamilyChunk {
-    let window = dataset.window();
-    let attacks = dataset.attacks();
-    let mut out = FamilyChunk {
-        starts: Vec::with_capacity(attack_indices.len()),
-        series: Vec::with_capacity(attack_indices.len()),
-        days: Vec::new(),
-        weekly: vec![IpMap::default(); num_weeks],
-    };
-    // Weekly pass — one stamp sweep dedups each week's participants
-    // (bots recur across many attacks of a week) and records the firsts
-    // flat; the maps then build in one tight pass, reserved at exactly
-    // their final size. Insertion order differs from the reference
-    // loop's attack-interleaved order, but the recorded (ip, country)
-    // set cannot — and a map's content is order-free.
-    //
-    // `ids_of(i)` mirrors `attacks[i].sources` one-to-one, so a
-    // first-of-the-week record reads its IP from the attack's own list
-    // rather than through the dictionary column.
-    let tag_base = stamp.begin(sources.dict_len(), num_weeks);
-    let tags = &mut stamp.tags[..];
-    let mut per_week = vec![0usize; num_weeks];
-    let mut firsts: Vec<(IpAddr4, CountryCode, u32)> = Vec::new();
-    for &ai in attack_indices {
-        let a = &attacks[ai as usize];
-        let Some(w) = window.week_index(a.start) else {
-            continue;
-        };
-        let tag = tag_base + w as u32;
-        for (k, &id) in sources.ids_of(ai as usize).iter().enumerate() {
-            if tags[id as usize] == tag {
-                continue;
-            }
-            tags[id as usize] = tag;
-            let row = sources.bot_row(id);
-            if row != NO_BOT {
-                per_week[w] += 1;
-                firsts.push((a.sources[k], bots.country(row), w as u32));
-            }
-        }
-    }
-    for (w, &n) in per_week.iter().enumerate() {
-        out.weekly[w].reserve(n);
-    }
-    for &(ip, country, w) in &firsts {
-        out.weekly[w as usize].insert(ip, country);
-    }
-    // Dispersion pass — a resolved id *is* its row (`bot_row` is an
-    // identity below `bots_len`), so the common all-resolved attack
-    // feeds its id slice to the kernel as the row list directly, with
-    // no per-id scan at all; only an attack with unresolvable sources
-    // filters its ids into the scratch buffer.
-    let mut rows: Vec<u32> = Vec::new();
-    for &ai in attack_indices {
-        let a = &attacks[ai as usize];
-        out.starts.push(a.start);
-        let ids = sources.ids_of(ai as usize);
-        let row_list: &[u32] = if sources.unresolved_in(ai as usize) == 0 {
-            ids
-        } else {
-            rows.clear();
-            rows.extend(
-                ids.iter()
-                    .copied()
-                    .filter(|&id| sources.bot_row(id) != NO_BOT),
-            );
-            &rows
-        };
-        let Some(d) = dispersion_precomp_indexed_counted(bots.trigs(), row_list, kernel) else {
-            continue;
-        };
-        if let Some(day) = window.day_index(a.start) {
-            // Attacks arrive in start order, so days are nondecreasing:
-            // dedup against the last push (the merge treats `days` as a
-            // set, so only the distinct values matter).
-            if out.days.last() != Some(&day) {
-                out.days.push(day);
-            }
-        }
-        out.series.push((a.start, d.value()));
-    }
-    out
-}
-
-/// The fused variant of [`resolve_family_chunk`]: one sweep over the
-/// chunk's attacks drives both substreams — the weekly stamp dedup and
-/// the dispersion snapshot — instead of two, and for the common fully-
-/// resolved attack the sweep fuses element-for-element: one loop over
-/// the id slice both stamps the weekly dedup and folds the dispersion
-/// center sum (a resolved id *is* its trig row), so each id slice is
-/// walked once instead of twice. The center fold pushes in id order
-/// and [`dispersion_precomp_indexed_presummed`] finishes with the
-/// one-call kernel's exact expressions, so every output bit matches
-/// the two-sweep resolver; the context equivalence suite and the
-/// kernel proptests pin that. Selected by any non-`Reference`
-/// [`KernelPolicy`]; at paper scale this is the context build's
-/// hottest loop.
-fn resolve_family_chunk_fused(
     dataset: &Dataset,
     bots: &BotTable,
     sources: &SourceTable,
@@ -296,8 +204,7 @@ fn resolve_family_chunk_fused(
         let d = if sources.unresolved_in(ai as usize) == 0 {
             // Fully resolved: ids are the kernel's row list, so one
             // fused loop stamps the weekly dedup and folds the center
-            // sum together. Every id resolves, so the two-sweep pass's
-            // `bot_row(id) != NO_BOT` check is vacuous here.
+            // sum together. Every id resolves, so no `bot_row` check.
             let mut sum = CenterSum::default();
             if let Some(w) = window.week_index(a.start) {
                 let tag = tag_base + w as u32;
@@ -316,8 +223,8 @@ fn resolve_family_chunk_fused(
             }
             dispersion_precomp_indexed_presummed(trigs, ids, sum, kernel)
         } else {
-            // Unresolvable sources present: fall back to the two
-            // substreams of the two-sweep pass, verbatim.
+            // Unresolvable sources present: stamp the week, then
+            // filter the resolved ids into the scratch row list.
             if let Some(w) = window.week_index(a.start) {
                 let tag = tag_base + w as u32;
                 for (k, &id) in ids.iter().enumerate() {
@@ -407,12 +314,10 @@ impl<'a> AnalysisContext<'a> {
 
     /// [`AnalysisContext::build_obs`] with an explicit [`KernelPolicy`].
     ///
-    /// The policy selects the family resolver (`Reference` keeps the
-    /// two-sweep PR 6 resolver; `Auto`/`Chunked` run the fused
-    /// single-sweep variant), overrides the chunk granularity of the
-    /// family jobs when `Chunked`, and is recorded on the context so
-    /// the gated pass bodies pick their kernels accordingly. Every
-    /// policy builds a bit-identical context and report.
+    /// The policy overrides the chunk granularity of the family jobs
+    /// when `Chunked`, and is recorded on the context so the gated pass
+    /// bodies pick their kernels accordingly. Every policy builds a
+    /// bit-identical context and report.
     pub fn build_kernels(
         dataset: &'a Dataset,
         spec: ArimaSpec,
@@ -496,14 +401,9 @@ impl<'a> AnalysisContext<'a> {
         // Each worker owns one reusable week-stamp buffer across all the
         // chunks it drains ([`WeekStamp`] hands every chunk a fresh tag
         // range, so no re-zeroing between chunks).
-        let resolver = if policy.is_reference() {
-            resolve_family_chunk
-        } else {
-            resolve_family_chunk_fused
-        };
         let run_job = |&(slot, indices): &(usize, &[u32]), stamp: &mut WeekStamp| {
             let t0 = obs.now_us();
-            let chunk = resolver(
+            let chunk = resolve_family_chunk(
                 dataset, &bot_table, &sources, indices, num_weeks, stamp, &kernel,
             );
             chunk_hist.record(obs.now_us().saturating_sub(t0));

@@ -1,24 +1,24 @@
 //! Kernel execution policy for the data-parallel pass bodies.
 //!
-//! PR 7 makes the heavy pass bodies *chunked*: a gated pass computes
+//! The heavy pass bodies are *chunked*: a gated pass computes
 //! per-chunk partials over the columnar substrate and merges them
 //! deterministically in chunk order, so the report stays byte-identical
 //! to the serial algorithms for any chunk size (DESIGN.md §12 states
 //! the contract). [`KernelPolicy`] selects which body runs:
 //!
-//! * [`KernelPolicy::Reference`] — the pre-kernel (PR 6) algorithms,
-//!   kept verbatim as the in-binary baseline the equivalence suite and
-//!   `repro --pass-bench` hold the kernels bit-equal to.
+//! * [`KernelPolicy::Reference`] — the pre-kernel algorithms, kept
+//!   verbatim as the in-binary baseline the equivalence suite and
+//!   `repro --pass-bench` hold the kernels bit-equal to. It selects
+//!   pass bodies only: every policy resolves the context's families
+//!   with the same fused resolver.
 //! * [`KernelPolicy::Auto`] — chunked kernels, one chunk per available
-//!   worker (the default). Two passes are exceptions: `blacklist` and
-//!   `interval_stats` measured *slower* chunked than reference
-//!   (BENCH_passes.json, 0.92x), so under `Auto` those route to their
-//!   reference bodies and are never a regression.
+//!   worker (the default).
 //! * [`KernelPolicy::Chunked`] — chunked kernels with a fixed chunk
 //!   length, the override the proptests use to force degenerate
-//!   chunkings (size 1, size larger than the input). Forces the
-//!   chunked body on for every gated pass, including the two `Auto`
-//!   routes back to reference.
+//!   chunkings (size 1, size larger than the input).
+//!
+//! Passes without a chunked kernel (`blacklist`, the two interval
+//! passes) run one body under every policy.
 
 use std::ops::Range;
 
@@ -41,16 +41,6 @@ impl KernelPolicy {
     /// Whether this policy selects the reference pass bodies.
     pub fn is_reference(self) -> bool {
         matches!(self, KernelPolicy::Reference)
-    }
-
-    /// Whether chunked execution was explicitly forced on. Passes whose
-    /// chunked kernel measured slower than its reference body
-    /// (`blacklist`, `interval_stats`) run the reference body unless
-    /// this is true, so `Auto` is never slower than `Reference` on any
-    /// pass while `Chunked(_)` still exercises every kernel for the
-    /// equivalence suites.
-    pub fn forced_chunked(self) -> bool {
-        matches!(self, KernelPolicy::Chunked(_))
     }
 
     /// The contiguous chunk ranges this policy cuts an input of `len`

@@ -17,9 +17,8 @@
 //! | "insight into defenses" | [`defense`] | blacklist & latency simulations |
 //!
 //! [`Analysis`] is the one entry point: a builder that names a dataset,
-//! picks an engine (monolithic, epoch-folded, incremental, or the
-//! pre-refactor baseline), and runs — every spelling serializes
-//! byte-identically. The `ddos-report` crate renders the results as the
+//! picks an engine (monolithic, epoch-folded, or incremental), and runs
+//! — every spelling serializes byte-identically. The `ddos-report` crate renders the results as the
 //! paper's tables and figure series, the `ddos-serve` crate keeps an
 //! [`IncrementalPipeline`] resident and answers snapshot-isolated
 //! queries while epochs append, and the `bench` crate regenerates each

@@ -201,37 +201,21 @@ fn pass_daily(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput
     PassOutput::Daily(DailyDistribution::compute_ctx(ctx))
 }
 
-fn pass_interval_stats(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/interval_stats");
+fn pass_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::IntervalStats(
         ctx.families()
             .iter()
             .map(|fc| {
                 let ivs = starts_to_intervals(&fc.starts);
-                // The scalar interval fold measured slower chunked than
-                // reference, so Auto routes to the reference body; only
-                // an explicit Chunked(_) forces the kernel on.
-                let stats = if ctx.kernels.forced_chunked() {
-                    record_kernel_chunks(ctx, obs, ivs.len());
-                    IntervalStats::compute_kernel(&ivs, ctx.kernels)
-                } else {
-                    IntervalStats::compute(&ivs)
-                };
-                (fc.family, stats)
+                (fc.family, IntervalStats::compute(&ivs))
             })
             .collect(),
     )
 }
 
-fn pass_all_interval_stats(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/all_interval_stats");
+fn pass_all_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     let ivs = starts_to_intervals(&ctx.all_starts);
-    record_kernel_chunks(ctx, obs, ivs.len());
-    PassOutput::AllIntervalStats(if ctx.kernels.is_reference() {
-        IntervalStats::compute(&ivs)
-    } else {
-        IntervalStats::compute_kernel(&ivs, ctx.kernels)
-    })
+    PassOutput::AllIntervalStats(IntervalStats::compute(&ivs))
 }
 
 fn pass_concurrency(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
@@ -303,14 +287,7 @@ fn pass_recurrence(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassO
     PassOutput::Recurrence(RecurrenceAnalysis::compute_ctx(ctx))
 }
 
-fn pass_blacklist(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/blacklist");
-    // Auto routes this pass to the reference replay (see
-    // `BlacklistSim::run_ctx`), so only a forced chunking runs — and
-    // records — the fused kernel.
-    if ctx.kernels.forced_chunked() {
-        record_kernel_chunks(ctx, obs, ctx.target_timelines.len());
-    }
+fn pass_blacklist(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Blacklist(BlacklistSim::run_ctx(ctx))
 }
 
@@ -444,9 +421,8 @@ pub const REGISTRY: &[PassSpec] = &[
     },
 ];
 
-/// What one pass run yields: `(name, output, start_us, end_us)`, or the
-/// injected fault that stopped it.
-type PassRun = Result<(&'static str, PassOutput, u64, u64), PipelineError>;
+/// What one pass run yields: `(name, output, start_us, end_us)`.
+type PassRun = (&'static str, PassOutput, u64, u64);
 
 /// Runs one pass, stamping its start/end offsets off the observer's
 /// clock (offsets are recorded by the driver after the join, so worker
@@ -457,10 +433,9 @@ fn run_pass(
     partial: &PartialReport,
     obs: &Obs,
 ) -> PassRun {
-    fault::check(fault::SCHEDULER_PASS, obs)?;
     let start_us = obs.now_us();
     let out = (pass.run)(ctx, partial, obs);
-    Ok((pass.name, out, start_us, obs.now_us()))
+    (pass.name, out, start_us, obs.now_us())
 }
 
 /// The set of passes whose inputs a change to `parts` invalidates.
@@ -540,13 +515,13 @@ pub fn execute_filtered(
 }
 
 /// Fallible [`execute_filtered`]: the `scheduler/pass` failpoint is
-/// consulted once per pass (in registry order on the serial path), and
-/// an injection surfaces as `Err` with the whole stage's other outputs
-/// discarded — `partial` keeps the slots of every *completed* stage but
-/// none from the failed one, so a caller either finishes cleanly or
-/// throws the partial away. Error selection is deterministic: within a
-/// failing stage the error of the earliest pass in registry order wins,
-/// regardless of thread interleaving.
+/// consulted once per pass, in registry order on the calling thread
+/// before the stage runs, and an injection surfaces as `Err` with the
+/// whole stage discarded — `partial` keeps the slots of every
+/// *completed* stage but none from the failed one, so a caller either
+/// finishes cleanly or throws the partial away. Error selection and hit
+/// indices are deterministic: within a failing stage the error of the
+/// earliest pass in registry order wins, regardless of scheduling.
 pub fn try_execute_filtered(
     ctx: &AnalysisContext,
     parallel: bool,
@@ -573,9 +548,17 @@ pub fn try_execute_filtered(
             "pass registry has a dependency cycle or an unknown dep name"
         );
         remaining = rest;
+        // Every pass of the stage consults the failpoint before any runs
+        // (the fold keeps the first error but consults them all), so a
+        // failed stage contributes no slots and `partial` never mixes
+        // outputs with an error.
+        stage
+            .iter()
+            .map(|_| fault::check(fault::SCHEDULER_PASS, obs))
+            .fold(Ok(()), Result::and)?;
         let stage_start = obs.now_us();
         let threaded = parallel && stage.len() > 1;
-        let mut results: Vec<PassRun> = if threaded {
+        let results: Vec<PassRun> = if threaded {
             let partial_ref: &PartialReport = partial;
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = stage
@@ -594,14 +577,7 @@ pub fn try_execute_filtered(
                 .map(|&p| run_pass(p, ctx, partial, obs))
                 .collect()
         };
-        // Surface the earliest failure (stage order == registry order)
-        // before applying anything: a failed stage contributes no
-        // slots, so `partial` never mixes outputs with an error.
-        if let Some(i) = results.iter().position(|r| r.is_err()) {
-            return Err(results.swap_remove(i).expect_err("position said Err"));
-        }
-        for r in results {
-            let (name, out, start_us, end_us) = r.expect("stage errors handled above");
+        for (name, out, start_us, end_us) in results {
             if threaded {
                 // Spawn-to-start latency: how long the pass sat between
                 // the stage opening and its thread actually running it.

@@ -5,9 +5,7 @@
 //! pipeline: it builds the shared [`AnalysisContext`] once, executes the
 //! [`crate::passes::REGISTRY`] through the dependency-aware scheduler
 //! (in parallel by default), and assembles the report from the pass
-//! outputs. [`AnalysisReport::run_baseline`] preserves the original
-//! monolithic path — every analysis rescanning the dataset for itself —
-//! as the reference for equivalence tests and the pipeline benchmark.
+//! outputs.
 //!
 //! Every run carries a [`RunTelemetry`]: hierarchical spans per build
 //! stage and per pass, plus scheduler/kernel metrics, recorded through
@@ -28,23 +26,22 @@ use crate::collab::concurrent::{CollabAnalysis, PairFocus};
 use crate::collab::multistage::MultistageAnalysis;
 use crate::columnar::worker_count;
 use crate::context::AnalysisContext;
-use crate::defense::{detection_latency_sweep, BlacklistSim, LatencyPoint};
+use crate::defense::{BlacklistSim, LatencyPoint};
 use crate::epoch::{EpochContext, FoldScratch};
 use crate::fault::{self, PipelineError};
 use crate::kernels::KernelPolicy;
-use crate::overview::activity::{activity_levels, FamilyActivity};
+use crate::overview::activity::FamilyActivity;
 use crate::overview::daily::DailyDistribution;
 use crate::overview::duration::DurationAnalysis;
-use crate::overview::intervals::{self, ConcurrencyAnalysis, IntervalStats};
-use crate::overview::protocols::{protocol_preferences, ProtocolFamilyRow, ProtocolPopularity};
-use crate::passes::{self, CtxPart, PartialReport, LATENCY_GRID_S};
-use crate::source::dispersion::{qualifying_families, FamilyDispersion};
+use crate::overview::intervals::{ConcurrencyAnalysis, IntervalStats};
+use crate::overview::protocols::{ProtocolFamilyRow, ProtocolPopularity};
+use crate::passes::{self, CtxPart, PartialReport};
+use crate::source::dispersion::FamilyDispersion;
 use crate::source::prediction::PredictionAnalysis;
 use crate::source::shift::ShiftAnalysis;
 use crate::summary::SummaryComparison;
-use crate::target::country::{all_profiles, overall_top_countries, FamilyCountryProfile};
+use crate::target::country::FamilyCountryProfile;
 use crate::target::recurrence::RecurrenceAnalysis;
-use crate::util::BotIndex;
 
 /// How to run the pipeline.
 ///
@@ -165,15 +162,14 @@ pub struct AnalysisReport {
     pub latency: Vec<LatencyPoint>,
     /// Spans and metrics of the run (machine-dependent metadata —
     /// never serialized, so parallel and serial reports stay
-    /// byte-identical). Empty when telemetry was off or the report
-    /// came from [`AnalysisReport::run_baseline`].
+    /// byte-identical). Empty when telemetry was off.
     #[serde(skip)]
     pub telemetry: RunTelemetry,
 }
 
 /// The monolithic engine: one context build, one pass-scheduler run,
 /// recording into `obs`. The body behind `Analysis::try_run` (batch
-/// mode) and the legacy `run_opts`/`run_obs` shims.
+/// mode).
 pub(crate) fn run_monolithic(
     ds: &Dataset,
     opts: PipelineOptions,
@@ -193,8 +189,7 @@ pub(crate) fn run_monolithic(
 }
 
 /// Runs the pass scheduler over a context built elsewhere, recording
-/// into `obs`. The body behind `Analysis::over(..).try_run()` and the
-/// legacy `run_on` shim.
+/// into `obs`. The body behind `Analysis::over(..).try_run()`.
 pub(crate) fn run_over(
     ctx: &AnalysisContext,
     parallel: bool,
@@ -211,7 +206,7 @@ pub(crate) fn run_over(
 /// threads when `opts.parallel`), and the contexts fold pairwise into
 /// one — which the merge laws guarantee is bit-identical to the
 /// monolithic [`AnalysisContext::build`]. The body behind
-/// `Analysis::epochs(..).try_run()` and the legacy `run_epochs` shims.
+/// `Analysis::epochs(..).try_run()`.
 pub(crate) fn run_folded(
     ds: &Dataset,
     opts: PipelineOptions,
@@ -297,195 +292,11 @@ pub(crate) fn run_folded(
     Ok(report)
 }
 
-/// The pre-refactor monolithic pipeline: every analysis rescans the
-/// dataset for itself (the dispersion join runs twice, the shift join a
-/// third time, four analyses regroup the per-target index). Kept as the
-/// reference implementation — the equivalence tests assert the
-/// pass-based pipeline serializes identically, and the
-/// `repro --pipeline-bench` flag measures the speedup against it. The
-/// body behind `Analysis::baseline()` and the legacy `run_baseline`
-/// shim.
-pub(crate) fn baseline_report(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
-    let bots = BotIndex::build(ds);
-    let collaborations = CollabAnalysis::compute(ds);
-    let flagship_pair =
-        PairFocus::compute(ds, &collaborations, Family::Dirtjumper, Family::Pandora);
-    AnalysisReport {
-        protocols: ProtocolPopularity::compute(ds),
-        protocol_rows: protocol_preferences(ds),
-        summary: SummaryComparison::compute(ds),
-        daily: DailyDistribution::compute(ds),
-        interval_stats: Family::ACTIVE
-            .into_iter()
-            .map(|f| {
-                let ivs = intervals::family_intervals(ds, f);
-                (f, IntervalStats::compute(&ivs))
-            })
-            .collect(),
-        all_interval_stats: IntervalStats::compute(&intervals::all_intervals(ds)),
-        concurrency: ConcurrencyAnalysis::compute(ds),
-        durations: DurationAnalysis::compute(ds),
-        shifts: ShiftAnalysis::compute(ds, &bots),
-        dispersion: qualifying_families(ds, &bots),
-        prediction: PredictionAnalysis::compute(ds, &bots, spec),
-        target_countries: all_profiles(ds),
-        overall_targets: overall_top_countries(ds, 5),
-        collaborations,
-        flagship_pair,
-        multistage: MultistageAnalysis::compute(ds),
-        activity: activity_levels(ds),
-        recurrence: RecurrenceAnalysis::compute(ds, None),
-        blacklist: BlacklistSim::run(ds),
-        latency: detection_latency_sweep(ds, LATENCY_GRID_S),
-        telemetry: RunTelemetry::default(),
-    }
-}
-
 impl AnalysisReport {
     /// Runs the full pipeline with the default options — shorthand for
     /// [`Analysis::new`]`(ds).run()`.
     pub fn run(ds: &Dataset) -> AnalysisReport {
         Analysis::new(ds).run()
-    }
-
-    /// Runs the full pipeline with a chosen ARIMA order.
-    #[deprecated(note = "use the `Analysis` builder: `Analysis::new(ds).spec(spec).run()`")]
-    pub fn run_with(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
-        Analysis::new(ds).spec(spec).run()
-    }
-
-    /// Opens a binary trace file (`DDTL` v1 or v2 — memory-mapped, with
-    /// framed v2 inputs decoded in parallel) and runs the full pipeline
-    /// on it with default options.
-    #[deprecated(note = "open the trace with `Dataset::open` and run `Analysis::new(&ds).run()`")]
-    pub fn run_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<AnalysisReport, ddos_schema::SchemaError> {
-        Ok(Analysis::new(&Dataset::open(path)?).run())
-    }
-
-    /// Runs the pass-based pipeline with explicit options. The
-    /// `parallel` flag governs both the context build (chunked
-    /// per-family fan-out over the columnar substrate) and the pass
-    /// scheduler; the serialized report is identical either way.
-    #[deprecated(note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).run()`")]
-    pub fn run_opts(ds: &Dataset, opts: PipelineOptions) -> AnalysisReport {
-        Analysis::new(ds).options(opts).run()
-    }
-
-    /// Fallible `run_opts`: surfaces a `scheduler/pass` fault injection
-    /// as `Err` instead of panicking. The pipeline holds no cross-run
-    /// state, so retrying the same call without the fault plan
-    /// reproduces the golden report.
-    #[deprecated(note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).try_run()`")]
-    pub fn try_run_opts(
-        ds: &Dataset,
-        opts: PipelineOptions,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds).options(opts).try_run()
-    }
-
-    /// Like `run_opts`, but records into a caller-supplied [`Obs`].
-    /// Loaders use this to land their ingest telemetry in the same
-    /// [`RunTelemetry`] as the analysis spans; `opts.telemetry` is
-    /// ignored in favour of the recorder's own enabled state.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).obs(obs).run()`"
-    )]
-    pub fn run_obs(ds: &Dataset, opts: PipelineOptions, obs: &Obs) -> AnalysisReport {
-        Analysis::new(ds).options(opts).obs(obs).run()
-    }
-
-    /// Fallible `run_obs` — see the `try_run_opts` error contract.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).obs(obs).try_run()`"
-    )]
-    pub fn try_run_obs(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        obs: &Obs,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds).options(opts).obs(obs).try_run()
-    }
-
-    /// Runs the pass scheduler over a context built elsewhere (the
-    /// conformance suite uses this to feed the same passes a columnar
-    /// and a reference-built context). No telemetry is recorded — the
-    /// context build, where most of it lives, already happened.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::over(ctx).parallel(parallel).run()`"
-    )]
-    pub fn run_on(ctx: &AnalysisContext, parallel: bool) -> AnalysisReport {
-        Analysis::over(ctx).parallel(parallel).run()
-    }
-
-    /// Runs the pipeline through the epoch-sharded engine — see
-    /// [`Analysis::epochs`].
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).run()`"
-    )]
-    pub fn run_epochs(ds: &Dataset, opts: PipelineOptions, epoch_len: Seconds) -> AnalysisReport {
-        Analysis::new(ds).options(opts).epochs(epoch_len).run()
-    }
-
-    /// Fallible `run_epochs`: the `epoch/merge` failpoint is consulted
-    /// before every pairwise merge of the fold (and `scheduler/pass`
-    /// before every pass), so an injected mid-fold abort surfaces as
-    /// `Err` with all intermediate contexts dropped. Retrying rebuilds
-    /// every shard from the dataset and reproduces the golden report.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).try_run()`"
-    )]
-    pub fn try_run_epochs(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        epoch_len: Seconds,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds).options(opts).epochs(epoch_len).try_run()
-    }
-
-    /// Runs the pipeline by appending epochs one at a time through an
-    /// [`IncrementalPipeline`] — see [`Analysis::incremental`].
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).incremental().run()`"
-    )]
-    pub fn run_incremental(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        epoch_len: Seconds,
-    ) -> AnalysisReport {
-        Analysis::new(ds)
-            .options(opts)
-            .epochs(epoch_len)
-            .incremental()
-            .run()
-    }
-
-    /// Fallible `run_incremental` — see
-    /// [`IncrementalPipeline::try_append_epoch`] for the per-append
-    /// error contract.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).incremental().try_run()`"
-    )]
-    pub fn try_run_incremental(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        epoch_len: Seconds,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds)
-            .options(opts)
-            .epochs(epoch_len)
-            .incremental()
-            .try_run()
-    }
-
-    /// The pre-refactor monolithic pipeline — see
-    /// [`Analysis::baseline`].
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).spec(spec).baseline().run()`"
-    )]
-    pub fn run_baseline(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
-        Analysis::new(ds).spec(spec).baseline().run()
     }
 }
 
@@ -530,7 +341,7 @@ impl ObsSlot<'_> {
 /// sections keep their slots. After the last epoch the accumulator
 /// covers the whole trace — the merge laws make it bit-identical to the
 /// monolithic build — so [`IncrementalPipeline::into_report`] is
-/// byte-identical to [`AnalysisReport::run_opts`].
+/// byte-identical to the batch run ([`Analysis::try_run`]).
 ///
 /// Mid-stream caveat: passes read `ctx.dataset` for the raw records, so
 /// between the first and last append a re-run pass sees the *full*
@@ -942,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_serial_and_baseline_agree_on_a_tiny_dataset() {
+    fn parallel_serial_and_quiet_runs_agree_on_a_tiny_dataset() {
         let ds = dataset(vec![
             attack(Family::Dirtjumper, 1, 100, 600, 1),
             attack(Family::Dirtjumper, 2, 100, 650, 1),
@@ -954,17 +765,14 @@ mod tests {
         ]);
         let parallel = Analysis::new(&ds).run();
         let serial = Analysis::new(&ds).parallel(false).run();
-        let baseline = Analysis::new(&ds).baseline().run();
         let quiet = Analysis::new(&ds).telemetry(false).run();
         let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
         assert_eq!(json(&parallel), json(&serial));
-        assert_eq!(json(&parallel), json(&baseline));
         // Telemetry is metadata: excluded from serialization, and
         // turning it off changes nothing but the attached artifact.
         assert_eq!(json(&parallel), json(&quiet));
         assert!(!json(&parallel).contains("telemetry"));
         assert!(!serial.telemetry.parallel);
         assert!(quiet.telemetry.is_empty());
-        assert!(baseline.telemetry.is_empty());
     }
 }

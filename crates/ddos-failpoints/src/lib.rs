@@ -13,10 +13,13 @@
 //!   and seed. `fail_nth` arms fire on an exact hit index; probability
 //!   arms hash `(seed, name, hit)` so the same plan replays the same
 //!   schedule on every run and platform.
-//! * **Serialized** — [`FailPlan::install`] takes a process-wide gate,
-//!   so concurrently running `cargo test` threads that inject faults
-//!   queue up instead of observing each other's plans. The returned
-//!   [`FailScope`] clears the plan on drop (including on panic).
+//! * **Thread-scoped** — [`FailPlan::install`] binds the plan to the
+//!   calling thread only, so concurrently running `cargo test` threads
+//!   never observe each other's plans: a test that installs nothing
+//!   never sees a fault. Code that fans work out to threads hands the
+//!   plan on explicitly ([`inherit`] before the spawn,
+//!   [`Inherit::enter`] inside the worker). The returned [`FailScope`]
+//!   restores the thread's previous plan on drop (including on panic).
 //! * **Release-inert** — [`ACTIVE`] is `cfg!(debug_assertions)`; in
 //!   release builds [`check`] is a constant-folded `None` and the seam
 //!   costs nothing, even when the `failpoints` cargo feature is unified
@@ -26,9 +29,11 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Whether the injection machinery is live in this build. Constant
 /// `false` outside debug builds: every [`check`] call folds to `None`.
@@ -218,62 +223,89 @@ impl FailPlan {
         self.arm(name, Rule::Probability(p))
     }
 
-    /// Install the plan process-wide and return the guard that keeps it
-    /// active. Serializes against every other installed plan: a second
-    /// `install` blocks until the first scope drops, so parallel test
-    /// threads cannot observe each other's faults. In release builds
-    /// the plan installs but [`check`] never consults it ([`ACTIVE`]).
+    /// Install the plan on the calling thread and return the guard that
+    /// keeps it active. Other threads never see it unless handed it
+    /// through [`inherit`]. In release builds the plan installs but
+    /// [`check`] never consults it ([`ACTIVE`]).
     pub fn install(self) -> FailScope {
-        let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let state = Arc::new(PlanState {
+        FailScope::enter(Some(Arc::new(PlanState {
             seed: self.seed,
             arms: self.arms,
-        });
-        *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&state));
-        INSTALLED.store(true, Ordering::Release);
-        FailScope { state, _gate: gate }
+        })))
     }
 }
 
-static GATE: Mutex<()> = Mutex::new(());
-static PLAN: RwLock<Option<Arc<PlanState>>> = RwLock::new(None);
-static INSTALLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// The plan [`check`] consults on this thread.
+    static CURRENT: RefCell<Option<Arc<PlanState>>> = const { RefCell::new(None) };
+}
 
-/// Keeps a [`FailPlan`] active; dropping it (normally or during a
-/// panic unwind) clears the plan and releases the process-wide gate.
+/// Keeps a plan active on the thread that created it; dropping it
+/// (normally or during a panic unwind) restores the thread's previous
+/// plan. Not `Send`: the plan it installed is thread-local.
 pub struct FailScope {
-    state: Arc<PlanState>,
-    _gate: MutexGuard<'static, ()>,
+    state: Option<Arc<PlanState>>,
+    prev: Option<Arc<PlanState>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl FailScope {
+    fn enter(state: Option<Arc<PlanState>>) -> FailScope {
+        let prev = CURRENT.with(|c| c.replace(state.clone()));
+        FailScope {
+            state,
+            prev,
+            _thread_bound: PhantomData,
+        }
+    }
+
     /// How many times `name` has been consulted under this plan (0 if
     /// the plan has no arm for it — add a `fail_nth(name, u64::MAX)`
     /// probe arm to count without ever firing).
     pub fn hits(&self, name: &str) -> u64 {
-        self.state.hits(name)
+        self.state.as_ref().map_or(0, |s| s.hits(name))
     }
 }
 
 impl Drop for FailScope {
     fn drop(&mut self) {
-        INSTALLED.store(false, Ordering::Release);
-        *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
+        let prev = self.prev.take();
+        CURRENT.with(|c| *c.borrow_mut() = prev);
     }
 }
 
-/// Consult the failpoint `name`. Returns `Some` when the installed
-/// plan schedules a failure for this hit; the caller maps it into its
-/// own error type and returns `Err`. Constant-folds to `None` in
-/// release builds and costs one relaxed atomic load in debug builds
+/// The calling thread's plan (if any), to hand to worker threads it
+/// spawns so their hits count against the same plan.
+pub struct Inherit(Option<Arc<PlanState>>);
+
+impl Inherit {
+    /// Installs the inherited plan on the calling (worker) thread for
+    /// the life of the returned guard.
+    pub fn enter(&self) -> FailScope {
+        FailScope::enter(self.0.clone())
+    }
+}
+
+/// Captures the calling thread's plan for [`Inherit::enter`] on the
+/// worker threads it spawns.
+pub fn inherit() -> Inherit {
+    if !ACTIVE {
+        return Inherit(None);
+    }
+    Inherit(CURRENT.with(|c| c.borrow().clone()))
+}
+
+/// Consult the failpoint `name`. Returns `Some` when the calling
+/// thread's plan schedules a failure for this hit; the caller maps it
+/// into its own error type and returns `Err`. Constant-folds to `None`
+/// in release builds and costs one thread-local read in debug builds
 /// with no plan installed.
 #[inline]
 pub fn check(name: &str) -> Option<Injected> {
-    if !ACTIVE || !INSTALLED.load(Ordering::Acquire) {
+    if !ACTIVE {
         return None;
     }
-    let plan = PLAN.read().unwrap_or_else(|e| e.into_inner()).clone()?;
-    plan.decide(name)
+    CURRENT.with(|c| c.borrow().as_ref().and_then(|plan| plan.decide(name)))
 }
 
 #[cfg(test)]
@@ -341,6 +373,21 @@ mod tests {
             assert!(check(names::EPOCH_MERGE).is_some());
         }
         assert_eq!(check(names::EPOCH_MERGE), None);
+    }
+
+    #[test]
+    fn plans_stay_on_their_thread_unless_inherited() {
+        let scope = FailPlan::new().fail_always(names::SCHEDULER_PASS).install();
+        let inherited = inherit();
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(check(names::SCHEDULER_PASS), None));
+            s.spawn(|| {
+                let _entered = inherited.enter();
+                assert!(check(names::SCHEDULER_PASS).is_some());
+            });
+        });
+        // Only the inheriting worker's hit counted.
+        assert_eq!(scope.hits(names::SCHEDULER_PASS), 1);
     }
 
     #[test]

@@ -104,6 +104,21 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     }
 }
 
+/// Parses a `--scale` value: a finite, positive trace-size multiplier
+/// (1.0 is paper scale). Infinite scales would ask the generator for
+/// `u32::MAX` records per calibrated cell; NaN, zero and negative ones
+/// would quietly yield a one-record-per-cell trace.
+fn parse_scale(s: &str) -> Result<f64, String> {
+    let scale: f64 = s
+        .trim()
+        .parse()
+        .map_err(|e| format!("bad scale {s:?}: {e}"))?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(format!("bad scale {s:?}: must be a finite number above 0"));
+    }
+    Ok(scale)
+}
+
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let mut config = SimConfig::default();
     let mut out: Option<String> = None;
@@ -111,13 +126,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => {
-                config.scale = it
-                    .next()
-                    .ok_or("--scale takes a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
+            "--scale" => config.scale = parse_scale(it.next().ok_or("--scale takes a value")?)?,
             "--seed" => config.seed = parse_seed(it.next().ok_or("--seed takes a value")?)?,
             "--no-snapshots" => config.snapshots = false,
             "--out" => out = Some(it.next().ok_or("--out takes a value")?.clone()),
@@ -440,4 +449,19 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     );
     println!("  snapshots  {} families", ds.snapshot_families().count());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_scale_accepts_finite_positive_values_only() {
+        assert_eq!(parse_scale("0.05"), Ok(0.05));
+        assert_eq!(parse_scale(" 1 "), Ok(1.0));
+        assert_eq!(parse_scale("1e-3"), Ok(0.001));
+        for bad in ["inf", "-inf", "NaN", "0", "-0", "-0.5", "", "big"] {
+            assert!(parse_scale(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 }

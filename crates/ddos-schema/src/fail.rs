@@ -45,3 +45,27 @@ pub(crate) fn check(name: &str) -> Result<(), SchemaError> {
 pub(crate) fn check(_name: &str) -> Result<(), SchemaError> {
     Ok(())
 }
+
+/// The calling thread's fault plan, handed to the worker threads it
+/// spawns (`let plan = inherit();` before the spawn, `plan.enter()`
+/// inside the worker).
+#[cfg(feature = "failpoints")]
+pub(crate) use ddos_failpoints::inherit;
+
+/// Feature-off stub of the plan handle: nothing to hand on.
+#[cfg(not(feature = "failpoints"))]
+pub(crate) struct Inherit;
+
+#[cfg(not(feature = "failpoints"))]
+impl Inherit {
+    #[inline(always)]
+    pub(crate) fn enter(&self) -> Inherit {
+        Inherit
+    }
+}
+
+#[cfg(not(feature = "failpoints"))]
+#[inline(always)]
+pub(crate) fn inherit() -> Inherit {
+    Inherit
+}

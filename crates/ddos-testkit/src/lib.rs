@@ -8,6 +8,9 @@
 //! every combination agrees byte for byte. This crate makes that a
 //! first-class, reusable check instead of point-wise suites:
 //!
+//! * [`baseline`] — the pre-refactor monolithic pipeline
+//!   ([`baseline_report`]), the one oracle that shares no code with
+//!   the context-based engine.
 //! * [`variant`] — the lattice itself: a [`Cell`] names one point
 //!   (ingest × build × scheduler × kernels), [`matrix`] enumerates the
 //!   curated ≥24-cell coverage set, [`matrix_full`] the exhaustive
@@ -28,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod conformance;
 pub mod faults;
 pub mod serve;
@@ -38,6 +42,7 @@ pub mod variant;
 /// build `FailPlan`s without naming `ddos-failpoints` themselves.
 pub use ddos_failpoints as failpoints;
 
+pub use baseline::baseline_report;
 pub use conformance::{
     assert_cells_agree, assert_cells_match_golden, check_telemetry_purity, golden_digest,
     report_digest, small_dataset, small_trace,

@@ -44,8 +44,9 @@ pub enum Ingest {
 pub enum Build {
     /// One-shot context build (the `Analysis` builder's default).
     Monolithic,
-    /// The pre-refactor monolithic reference (`Analysis::baseline`);
-    /// ignores the scheduler and kernel axes by construction.
+    /// The pre-refactor monolithic reference
+    /// ([`crate::baseline_report`]); ignores the scheduler and kernel
+    /// axes by construction.
     Baseline,
     /// Epoch-sharded batch fold (`Analysis::epochs`).
     EpochFolded {
@@ -77,9 +78,9 @@ pub enum Scheduler {
 /// [`ddos_analytics::KernelPolicy`] so cells print compactly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernels {
-    /// The PR 6 reference bodies.
+    /// The pre-kernel reference pass bodies.
     Reference,
-    /// Per-pass heuristic choice.
+    /// Chunked kernels, one chunk per available worker.
     Auto,
     /// Chunked kernels with a fixed chunk size.
     Chunked(usize),
@@ -222,7 +223,7 @@ impl Cell {
         };
         let report = match self.build {
             Build::Monolithic => base().try_run()?,
-            Build::Baseline => Analysis::new(ds).baseline().try_run()?,
+            Build::Baseline => crate::baseline_report(ds, ArimaSpec::DEFAULT),
             Build::EpochFolded { epoch_len_s } => base().epochs(Seconds(epoch_len_s)).try_run()?,
             Build::Incremental { epoch_len_s } => base()
                 .epochs(Seconds(epoch_len_s))

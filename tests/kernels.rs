@@ -1,7 +1,7 @@
 //! Kernel-equivalence property suite (DESIGN.md §12).
 //!
-//! PR 7's chunked pass kernels promise byte-identical reports to the
-//! reference (PR 6) pass bodies for *any* chunking. The golden-report
+//! The chunked pass kernels promise byte-identical reports to the
+//! reference pass bodies for *any* chunking. The golden-report
 //! suite pins that on the canonical trace; this suite extends it to
 //! arbitrary simulated traces and adversarial chunk sizes — size 1
 //! (every element its own chunk), a size that never divides the input
@@ -11,8 +11,8 @@
 //! Equivalence is asserted on serialized report bytes, so it covers
 //! every kernel at once — the snapshot scans (dispersion, weekly
 //! shifts), the sort-sweep collaboration detector, the overview
-//! histogram merges, the dense country rankings, and the fused
-//! blacklist replay — including each one's f64 ordering contract.
+//! histogram merges, and the dense country rankings — including each
+//! one's f64 ordering contract.
 
 use ddos_analytics::collab::concurrent::CollabAnalysis;
 use ddos_analytics::{Analysis, AnalysisContext, KernelPolicy};

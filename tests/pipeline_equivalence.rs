@@ -3,14 +3,16 @@
 //! round-trips, and the pre-refactor baseline — serializes to the exact
 //! same report, on simulated traces and on arbitrary small datasets.
 //! Likewise for the context build underneath: the columnar parallel
-//! build, the columnar serial build, and the pre-columnar reference
-//! build carry bit-identical analysis inputs.
+//! build, the columnar serial build, forced chunkings of the family
+//! resolver, and the pre-columnar reference build carry bit-identical
+//! analysis inputs.
 //!
 //! The variant enumeration itself lives in `ddos_testkit::matrix` (one
 //! definition shared with the golden suite and the soak loop); this
 //! suite only owns the dataset shapes it runs the matrix against.
 
-use ddos_analytics::AnalysisContext;
+use ddos_analytics::{AnalysisContext, KernelPolicy};
+use ddos_obs::Obs;
 use ddos_schema::record::{AttackRecord, BotRecord, Location};
 use ddos_schema::{
     Asn, BotnetId, CityId, CountryCode, Dataset, DatasetBuilder, DdosId, Family, IpAddr4, LatLon,
@@ -21,17 +23,30 @@ use ddos_stats::ArimaSpec;
 use ddos_testkit::{assert_cells_agree, matrix, small_dataset};
 use proptest::prelude::*;
 
-/// Builds the context all three ways and asserts the analysis inputs
-/// (dispersion series bit-for-bit, weekly bot maps, timelines) agree.
+/// Builds the context every way and asserts the analysis inputs
+/// (dispersion series bit-for-bit, weekly bot maps, timelines) agree:
+/// the columnar serial and parallel builds, the family resolver under
+/// forced chunkings (every family attack its own chunk, and a length
+/// that never divides evenly), and the pre-columnar reference build.
 /// Digest agreement across matrix cells checks the *outputs*; this
 /// checks the intermediate inputs, so a compensating double-bug cannot
 /// slip through.
 fn assert_context_builds_agree(ds: &Dataset) {
+    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
     let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
     let parallel = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
-    serial.assert_same_analysis(&parallel);
-    serial.assert_same_analysis(&reference);
+    reference.assert_same_analysis(&serial);
+    reference.assert_same_analysis(&parallel);
+    for chunk in [1, 3] {
+        let chunked = AnalysisContext::build_kernels(
+            ds,
+            ArimaSpec::DEFAULT,
+            true,
+            KernelPolicy::Chunked(chunk),
+            &Obs::disabled(),
+        );
+        reference.assert_same_analysis(&chunked);
+    }
 }
 
 #[test]
