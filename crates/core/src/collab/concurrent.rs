@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use ddos_schema::{AttackRecord, CountryCode, Dataset, Family, IpAddr4, Timestamp};
+use ddos_schema::{AttackRecord, CountryCode, Dataset, Family, IpAddr4, Records, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::kernels::KernelPolicy;
@@ -84,7 +84,7 @@ impl CollabAnalysis {
             .iter()
             .map(|t| t.attacks.as_slice())
             .collect();
-        Self::detect_sweep(ctx.dataset.attacks(), &lists, ctx.kernels)
+        Self::detect_sweep(ctx.records.attacks(), &lists, ctx.kernels)
     }
 
     /// The reference pairwise detection over the context's timelines —
@@ -92,7 +92,7 @@ impl CollabAnalysis {
     /// kernel against the scan it replaced.
     pub fn compute_ctx_reference(ctx: &crate::context::AnalysisContext) -> CollabAnalysis {
         Self::detect(
-            ctx.dataset.attacks(),
+            ctx.records.attacks(),
             ctx.target_timelines.iter().map(|t| t.attacks.as_slice()),
         )
     }
@@ -398,13 +398,13 @@ pub struct PairFocus {
 
 impl PairFocus {
     /// Analyzes the collaborations between two specific families.
-    pub fn compute(
-        ds: &Dataset,
+    pub fn compute<'r>(
+        records: impl Into<Records<'r>>,
         analysis: &CollabAnalysis,
         a: Family,
         b: Family,
     ) -> Option<PairFocus> {
-        let attacks = ds.attacks();
+        let attacks = records.into().attacks();
         let mut series = Vec::new();
         let mut targets = HashSet::new();
         let mut countries = HashSet::new();

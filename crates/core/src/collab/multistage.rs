@@ -73,7 +73,7 @@ impl MultistageAnalysis {
     /// the analysis context.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> MultistageAnalysis {
         Self::detect(
-            ctx.dataset.attacks(),
+            ctx.records.attacks(),
             ctx.target_timelines
                 .iter()
                 .map(|t| (t.target, t.attacks.as_slice())),

@@ -21,12 +21,12 @@
 //!
 //! # Invariants
 //!
-//! The context is *read-only* and derived purely from the dataset (plus
+//! The context is *read-only* and derived purely from its records (plus
 //! the chosen ARIMA order), which is what lets the scheduler run passes
 //! against it from multiple threads:
 //!
-//! * `durations[i]` and `all_starts[i]` describe `dataset.attacks()[i]`;
-//!   both vectors share the dataset's trace order (sorted by start time).
+//! * `durations[i]` and `all_starts[i]` describe `records.attacks()[i]`;
+//!   both vectors share the trace order (sorted by start time).
 //! * `target_timelines` is sorted by target IP; each timeline's attack
 //!   indices are ascending, hence in start order.
 //! * The per-family slots ([`FamilyContext`]) follow [`Family::ACTIVE`]
@@ -49,7 +49,7 @@ use ddos_geo::{
     CenterSum, KernelCounters,
 };
 use ddos_obs::Obs;
-use ddos_schema::{CountryCode, Dataset, Family, IpAddr4, Timestamp};
+use ddos_schema::{CountryCode, Dataset, Family, IpAddr4, Records, Timestamp};
 use ddos_stats::ArimaSpec;
 
 use crate::columnar::{
@@ -88,8 +88,11 @@ pub struct FamilyContext {
 /// Everything the analysis passes share, built once per dataset.
 #[derive(Debug)]
 pub struct AnalysisContext<'a> {
-    /// The dataset under analysis.
-    pub dataset: &'a Dataset,
+    /// The records under analysis: the whole trace for a batch build,
+    /// the appended epochs' prefix for a mid-stream fold. Passes read
+    /// raw records only through this view, so every context derived
+    /// from a prefix fold answers exactly like a build over that prefix.
+    pub records: Records<'a>,
     /// ARIMA order for the prediction pass.
     pub spec: ArimaSpec,
     /// The `Botlist` as a columnar table: sorted IPs, countries, and
@@ -497,7 +500,7 @@ impl<'a> AnalysisContext<'a> {
             .add(kernel.degenerate());
 
         AnalysisContext {
-            dataset,
+            records: dataset.into(),
             spec,
             bot_table,
             sources,
@@ -579,7 +582,7 @@ impl<'a> AnalysisContext<'a> {
             .collect();
 
         AnalysisContext {
-            dataset,
+            records: dataset.into(),
             spec,
             bot_table,
             sources,
@@ -598,7 +601,7 @@ impl<'a> AnalysisContext<'a> {
     /// [`AnalysisContext::build`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        dataset: &'a Dataset,
+        records: Records<'a>,
         spec: ArimaSpec,
         bot_table: BotTable,
         sources: SourceTable,
@@ -608,7 +611,7 @@ impl<'a> AnalysisContext<'a> {
         families: Vec<FamilyContext>,
     ) -> AnalysisContext<'a> {
         AnalysisContext {
-            dataset,
+            records,
             spec,
             bot_table,
             sources,

@@ -38,7 +38,7 @@ use std::collections::HashSet;
 use ddos_geo::{dispersion_precomp_indexed_counted, KernelCounters};
 use ddos_obs::Obs;
 use ddos_schema::{
-    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, EpochBatch, Family, Timestamp,
+    AttackRecord, BotRecord, CountryCode, DatasetShard, EpochBatch, Family, Records, Timestamp,
     Window,
 };
 use ddos_stats::ArimaSpec;
@@ -544,15 +544,18 @@ impl EpochContext {
     ///
     /// # Panics
     ///
-    /// If the fold does not cover `dataset` exactly.
-    pub fn into_context(self, dataset: &Dataset, spec: ArimaSpec) -> AnalysisContext<'_> {
-        assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
-        assert_eq!(self.len(), dataset.len(), "fold must cover every attack");
-        assert_eq!(self.window, dataset.window(), "fold from another trace");
+    /// If the fold does not cover `records` exactly.
+    pub fn into_context<'a>(
+        self,
+        records: impl Into<Records<'a>>,
+        spec: ArimaSpec,
+    ) -> AnalysisContext<'a> {
+        let records = records.into();
+        self.assert_covers(&records);
         let families =
             Self::families_from_slots(self.window, self.attack_base, &self.starts, self.slots);
         AnalysisContext::from_parts(
-            dataset,
+            records,
             spec,
             self.bots,
             self.sources,
@@ -563,14 +566,22 @@ impl EpochContext {
         )
     }
 
-    /// Clones a (possibly partial, but prefix-anchored) fold into an
-    /// analysis context so passes can run mid-stream. The context's
-    /// vectors cover the folded prefix; `ctx.dataset` remains the full
-    /// trace, so mid-stream pass outputs that read the dataset directly
-    /// see ahead — the incremental pipeline documents this and the
-    /// *final* report is exact.
-    pub fn to_context<'a>(&self, dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
-        assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
+    /// Clones a prefix-anchored fold into an analysis context so passes
+    /// can run mid-stream. `records` is the view of the folded epochs
+    /// (`shards[w - 1].prefix()` after `w` appends, or the whole trace
+    /// once every epoch is in), so the passes see exactly the records
+    /// the fold covers and the report is the exact prefix report.
+    ///
+    /// # Panics
+    ///
+    /// If the fold does not cover `records` exactly.
+    pub fn to_context<'a>(
+        &self,
+        records: impl Into<Records<'a>>,
+        spec: ArimaSpec,
+    ) -> AnalysisContext<'a> {
+        let records = records.into();
+        self.assert_covers(&records);
         let families = Self::families_from_slots(
             self.window,
             self.attack_base,
@@ -578,7 +589,7 @@ impl EpochContext {
             self.slots.clone(),
         );
         AnalysisContext::from_parts(
-            dataset,
+            records,
             spec,
             self.bots.clone(),
             self.sources.clone(),
@@ -587,6 +598,14 @@ impl EpochContext {
             self.timelines.clone(),
             families,
         )
+    }
+
+    /// The exit points' precondition: the fold starts at the first
+    /// epoch and holds exactly the view's attacks.
+    fn assert_covers(&self, records: &Records<'_>) {
+        assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
+        assert_eq!(self.len(), records.len(), "fold must cover every attack");
+        assert_eq!(self.window, records.window(), "fold from another trace");
     }
 }
 

@@ -7,7 +7,7 @@
 //! 1/3 of the period."* This module quantifies exactly that, plus the
 //! population curves visible in the feed's hourly snapshots.
 
-use ddos_schema::{Dataset, Family, Timestamp};
+use ddos_schema::{Dataset, Family, Records, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Activity profile of one family over the window.
@@ -31,8 +31,9 @@ pub struct FamilyActivity {
 
 /// Computes activity profiles for all active families, most aggressive
 /// (attack volume) first.
-pub fn activity_levels(ds: &Dataset) -> Vec<FamilyActivity> {
-    let window = ds.window();
+pub fn activity_levels<'a>(records: impl Into<Records<'a>>) -> Vec<FamilyActivity> {
+    let records = records.into();
+    let window = records.window();
     let total_days = window.num_days().max(1);
     let mut out: Vec<FamilyActivity> = Family::ACTIVE
         .into_iter()
@@ -41,7 +42,7 @@ pub fn activity_levels(ds: &Dataset) -> Vec<FamilyActivity> {
             let mut attacks = 0usize;
             let mut first = None;
             let mut last = None;
-            for a in ds.attacks_of(family) {
+            for a in records.attacks_of(family) {
                 attacks += 1;
                 if let Some(d) = window.day_index(a.start) {
                     days.insert(d);

@@ -1,6 +1,6 @@
 //! Fig. 2 — the daily attack distribution.
 
-use ddos_schema::{Dataset, Family, Timestamp};
+use ddos_schema::{Dataset, Family, Records, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Daily attack counts over the observation window.
@@ -15,13 +15,13 @@ pub struct DailyDistribution {
 
 impl DailyDistribution {
     /// Buckets attack start times by window day.
-    pub fn compute(ds: &Dataset) -> DailyDistribution {
-        Self::compute_filtered(ds, None)
+    pub fn compute<'a>(records: impl Into<Records<'a>>) -> DailyDistribution {
+        Self::compute_filtered(records.into(), None)
     }
 
     /// Same, restricted to one family.
     pub fn compute_for(ds: &Dataset, family: Family) -> DailyDistribution {
-        Self::compute_filtered(ds, Some(family))
+        Self::compute_filtered(ds.into(), Some(family))
     }
 
     /// Context-based variant of [`DailyDistribution::compute`]: buckets
@@ -31,9 +31,9 @@ impl DailyDistribution {
     /// counts.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> DailyDistribution {
         if ctx.kernels.is_reference() {
-            return Self::compute(ctx.dataset);
+            return Self::compute(ctx.records);
         }
-        let window = ctx.dataset.window();
+        let window = ctx.records.window();
         let mut counts = vec![0usize; window.num_days()];
         for range in ctx.kernels.chunks(ctx.all_starts.len()) {
             for &t in &ctx.all_starts[range] {
@@ -48,10 +48,10 @@ impl DailyDistribution {
         }
     }
 
-    fn compute_filtered(ds: &Dataset, family: Option<Family>) -> DailyDistribution {
-        let window = ds.window();
+    fn compute_filtered(records: Records<'_>, family: Option<Family>) -> DailyDistribution {
+        let window = records.window();
         let mut counts = vec![0usize; window.num_days()];
-        for a in ds.attacks() {
+        for a in records.attacks() {
             if family.is_some_and(|f| f != a.family) {
                 continue;
             }

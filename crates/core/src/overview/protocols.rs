@@ -1,6 +1,6 @@
 //! Fig. 1 / Table II — attack transport popularity.
 
-use ddos_schema::{Dataset, Family, Protocol};
+use ddos_schema::{Family, Protocol, Records};
 use serde::{Deserialize, Serialize};
 
 /// Attack counts per protocol across the whole trace (Fig. 1).
@@ -13,9 +13,9 @@ pub struct ProtocolPopularity {
 
 impl ProtocolPopularity {
     /// Counts attacks per protocol.
-    pub fn compute(ds: &Dataset) -> ProtocolPopularity {
+    pub fn compute<'a>(records: impl Into<Records<'a>>) -> ProtocolPopularity {
         let mut counts = [0usize; Protocol::ALL.len()];
-        for a in ds.attacks() {
+        for a in records.into().attacks() {
             counts[a.category.index()] += 1;
         }
         let mut counts: Vec<(Protocol, usize)> = Protocol::ALL
@@ -64,9 +64,9 @@ pub struct ProtocolFamilyRow {
 ///
 /// Rows are grouped by protocol in the paper's order, families
 /// alphabetical within a protocol, zero rows omitted.
-pub fn protocol_preferences(ds: &Dataset) -> Vec<ProtocolFamilyRow> {
+pub fn protocol_preferences<'a>(records: impl Into<Records<'a>>) -> Vec<ProtocolFamilyRow> {
     let mut counts = [[0usize; Family::ALL.len()]; Protocol::ALL.len()];
-    for a in ds.attacks() {
+    for a in records.into().attacks() {
         counts[a.category.index()][a.family.index()] += 1;
     }
     let mut rows = Vec::new();

@@ -58,10 +58,10 @@ pub const LATENCY_GRID_S: &[f64] = &[60.0, 600.0, 3_600.0, 4.0 * 3_600.0, 86_400
 /// re-runs only the passes whose inputs moved ([`passes_dirtied_by`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtxPart {
-    /// The attack records themselves (`ctx.dataset.attacks()`,
+    /// The attack records themselves (`ctx.records.attacks()`,
     /// `ctx.all_starts`, and everything derived per-attack on the fly).
     Attacks,
-    /// The bot roster (`ctx.dataset.bots()`, `ctx.bot_table`).
+    /// The bot roster (`ctx.records.bots()`, `ctx.bot_table`).
     Bots,
     /// The per-attack duration column (`ctx.durations`).
     Durations,
@@ -184,15 +184,15 @@ fn record_kernel_chunks(ctx: &AnalysisContext, obs: &Obs, items: usize) {
 }
 
 fn pass_protocols(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Protocols(ProtocolPopularity::compute(ctx.dataset))
+    PassOutput::Protocols(ProtocolPopularity::compute(ctx.records))
 }
 
 fn pass_protocol_rows(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::ProtocolRows(protocol_preferences(ctx.dataset))
+    PassOutput::ProtocolRows(protocol_preferences(ctx.records))
 }
 
 fn pass_summary(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Summary(SummaryComparison::compute(ctx.dataset))
+    PassOutput::Summary(SummaryComparison::compute(ctx.records))
 }
 
 fn pass_daily(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
@@ -230,7 +230,7 @@ fn pass_durations(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOu
 
 fn pass_shifts(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
     let _k = obs.span("kernels/shifts");
-    record_kernel_chunks(ctx, obs, ctx.dataset.window().num_weeks());
+    record_kernel_chunks(ctx, obs, ctx.records.window().num_weeks());
     PassOutput::Shifts(ShiftAnalysis::compute_ctx(ctx))
 }
 
@@ -244,13 +244,13 @@ fn pass_prediction(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> Pass
 
 fn pass_target_countries(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
     let _k = obs.span("kernels/target_countries");
-    record_kernel_chunks(ctx, obs, ctx.dataset.len());
+    record_kernel_chunks(ctx, obs, ctx.records.len());
     PassOutput::TargetCountries(all_profiles_ctx(ctx))
 }
 
 fn pass_overall_targets(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
     let _k = obs.span("kernels/overall_targets");
-    record_kernel_chunks(ctx, obs, ctx.dataset.len());
+    record_kernel_chunks(ctx, obs, ctx.records.len());
     PassOutput::OverallTargets(overall_top_countries_ctx(ctx, 5))
 }
 
@@ -266,7 +266,7 @@ fn pass_flagship_pair(ctx: &AnalysisContext, partial: &PartialReport, _obs: &Obs
         .as_ref()
         .expect("scheduler ran flagship_pair before its collaborations dependency");
     PassOutput::FlagshipPair(PairFocus::compute(
-        ctx.dataset,
+        ctx.records,
         collab,
         Family::Dirtjumper,
         Family::Pandora,
@@ -278,7 +278,7 @@ fn pass_multistage(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> Pass
 }
 
 fn pass_activity(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Activity(activity_levels(ctx.dataset))
+    PassOutput::Activity(activity_levels(ctx.records))
 }
 
 fn pass_recurrence(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {

@@ -343,33 +343,17 @@ impl ObsSlot<'_> {
 /// monolithic build — so [`IncrementalPipeline::into_report`] is
 /// byte-identical to the batch run ([`Analysis::try_run`]).
 ///
-/// Mid-stream caveat: passes read `ctx.dataset` for the raw records, so
-/// between the first and last append a re-run pass sees the *full*
-/// trace's records alongside the folded prefix's context. Intermediate
-/// slots are therefore not exact prefix reports; only the final report
-/// is pinned. Context-derived indices are always in range, so partial
-/// materialization never panics. [`IncrementalPipeline::prefix_exact`]
-/// lifts the caveat: passes then materialize against the epoch-prefix
-/// dataset, making every intermediate state an exact prefix report
-/// ([`IncrementalPipeline::snapshot_report`]).
+/// Every state in between is exact too: passes materialize against the
+/// appended epochs' record view ([`DatasetShard::prefix`]), so after
+/// each clean append the report is byte-identical to a monolithic run
+/// over those epochs' records ([`IncrementalPipeline::snapshot_report`]).
 pub struct IncrementalPipeline<'a> {
-    ds: &'a Dataset,
     opts: PipelineOptions,
     obs: ObsSlot<'a>,
-    epoch_len: Seconds,
     shards: Vec<DatasetShard<'a>>,
     next: usize,
     acc: Option<EpochContext>,
     partial: PartialReport,
-    /// When set, passes re-run against [`Dataset::epoch_prefix`] of the
-    /// appended epochs instead of the full trace, so the partial report
-    /// after each clean append is byte-identical to a monolithic run
-    /// over that prefix — the invariant the serve layer's snapshot
-    /// queries rely on.
-    prefix_exact: bool,
-    /// The materialized prefix dataset (prefix-exact mode only),
-    /// rebuilt whenever an append grows the raw record prefix.
-    prefix: Option<Dataset>,
     /// Passes dirtied by appended epochs but not yet successfully
     /// re-run. Normally drained within the same append; it only
     /// carries over when a `scheduler/pass` fault aborted the re-run,
@@ -415,37 +399,22 @@ impl<'a> IncrementalPipeline<'a> {
         obs: ObsSlot<'a>,
     ) -> Self {
         IncrementalPipeline {
-            ds,
             opts,
             obs,
-            epoch_len,
             shards: ds.shards(epoch_len),
             next: 0,
             acc: None,
             partial: PartialReport::default(),
-            prefix_exact: false,
-            prefix: None,
             pending: HashSet::new(),
             scratch: FoldScratch::default(),
         }
     }
 
-    /// Switches the pipeline into prefix-exact mode (before the first
-    /// append): every pass re-run materializes against the
-    /// [`Dataset::epoch_prefix`] of the appended epochs, so after each
-    /// clean append the partial report is byte-identical to a
-    /// monolithic run over exactly those epochs' records — the
-    /// invariant behind [`IncrementalPipeline::snapshot_report`].
-    ///
-    /// Costs a prefix-dataset rebuild on every append that grows the
-    /// raw record prefix; the final report is unchanged (the last
-    /// prefix *is* the full trace).
-    pub fn prefix_exact(mut self) -> Self {
-        assert_eq!(
-            self.next, 0,
-            "prefix_exact must be set before the first append"
-        );
-        self.prefix_exact = true;
+    /// No-op kept for the benchmark's existing call: every pipeline
+    /// materializes against the appended epochs' record view, so every
+    /// state is already prefix-exact.
+    #[deprecated(note = "every IncrementalPipeline is prefix-exact; no-op")]
+    pub fn prefix_exact(self) -> Self {
         self
     }
 
@@ -466,19 +435,17 @@ impl<'a> IncrementalPipeline<'a> {
         self.next
     }
 
-    /// An exact prefix report at the current watermark, or `None` when
-    /// one isn't available: the pipeline is not in
-    /// [`prefix_exact`](IncrementalPipeline::prefix_exact) mode, no
-    /// epoch has been appended yet, or a `scheduler/pass` fault left
+    /// The exact prefix report at the current watermark, or `None` when
+    /// no epoch has been appended yet or a `scheduler/pass` fault left
     /// dirtied passes pending (the state is mid-repair; the next clean
     /// append flushes them).
     ///
     /// The returned report is byte-identical to a monolithic run over
     /// `ds.epoch_prefix(epoch_len, watermark())` — the serve
-    /// conformance suite pins this. Telemetry is empty (it is run
-    /// metadata, not part of the snapshot).
+    /// conformance suite and `tests/epochs.rs` pin this. Telemetry is
+    /// empty (it is run metadata, not part of the snapshot).
     pub fn snapshot_report(&self) -> Option<AnalysisReport> {
-        if !self.prefix_exact || self.next == 0 || !self.pending.is_empty() {
+        if self.next == 0 || !self.pending.is_empty() {
             return None;
         }
         Some(assemble(self.partial.clone()))
@@ -523,16 +490,14 @@ impl<'a> IncrementalPipeline<'a> {
         self.next += 1;
         let built = EpochContext::build_scratch(shard, self.obs.get(), &mut self.scratch);
         let attacks = built.len();
-        // Prefix-exact mode: the raw-record prefix grows whenever the
-        // epoch carries attacks or bot records first seen inside it
-        // (re-observations of earlier bots are already in the prefix).
-        // Passes that read the raw roster (`summary`) declare
-        // `CtxPart::Bots`, so dirtying it covers a roster-only growth
-        // that appends no folded rows.
-        let new_bot_records = self.prefix_exact
-            && shard
-                .bots()
-                .any(|(_, b)| b.first_seen >= shard.span().start);
+        // The record view grows whenever the epoch carries attacks or
+        // bot records first seen inside it (re-observations of earlier
+        // bots are already in the view). Passes that read the raw
+        // roster (`summary`) declare `CtxPart::Bots`, so dirtying it
+        // covers a roster-only growth that appends no folded rows.
+        let new_bot_records = shard
+            .bots()
+            .any(|(_, b)| b.first_seen >= shard.span().start);
         let mut parts: Vec<CtxPart> = Vec::new();
         let acc = match self.acc.take() {
             // The first epoch seeds every part: all slots must fill.
@@ -584,14 +549,6 @@ impl<'a> IncrementalPipeline<'a> {
         // re-run: a pass fault then leaves a consistent context with
         // the un-run passes still queued in `pending`.
         self.acc = Some(acc);
-        if self.prefix_exact && (epoch == 0 || attacks > 0 || new_bot_records) {
-            // Rebuild the prefix dataset alongside the committed
-            // accumulator, also before the fallible re-run: a pass
-            // fault then leaves prefix and fold consistent with each
-            // other, and the retry materializes against them as-is.
-            let _span = self.obs.get().span("epoch/prefix");
-            self.prefix = Some(self.ds.epoch_prefix(self.epoch_len, self.next));
-        }
         self.try_flush()?;
         Ok(Some(AppendStats {
             epoch,
@@ -600,8 +557,8 @@ impl<'a> IncrementalPipeline<'a> {
         }))
     }
 
-    /// Re-runs any pending dirtied passes against the current fold.
-    /// No-op when nothing is pending.
+    /// Re-runs any pending dirtied passes against the current fold and
+    /// the appended epochs' records. No-op when nothing is pending.
     fn try_flush(&mut self) -> Result<(), PipelineError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -610,16 +567,10 @@ impl<'a> IncrementalPipeline<'a> {
             .acc
             .as_ref()
             .expect("pending passes imply an appended epoch");
-        // Prefix-exact runs see exactly the appended epochs' records;
-        // the default mode keeps the documented full-trace view.
-        let dataset = match &self.prefix {
-            Some(prefix) if self.prefix_exact => prefix,
-            _ => self.ds,
-        };
         let ctx = {
             let _span = self.obs.get().span("epoch/materialize");
             acc_ref
-                .to_context(dataset, self.opts.spec)
+                .to_context(self.shards[self.next - 1].prefix(), self.opts.spec)
                 .with_kernels(self.opts.kernels)
         };
         passes::try_execute_filtered(

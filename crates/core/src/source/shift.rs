@@ -64,7 +64,7 @@ impl ShiftAnalysis {
     /// weekly bot maps already built (from the context's single
     /// geolocation join) instead of resolving every attack source again.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> ShiftAnalysis {
-        let num_weeks = ctx.dataset.window().num_weeks();
+        let num_weeks = ctx.records.window().num_weeks();
         let mut weeks = Self::empty_weeks(num_weeks);
         for fc in ctx.families() {
             if ctx.kernels.is_reference() {

@@ -1,10 +1,10 @@
 //! Table III — the workload summary.
 //!
-//! The distinct-count machinery lives in [`ddos_schema::Dataset::summary`];
+//! The distinct-count machinery lives in [`ddos_schema::Records::summary`];
 //! this module wraps it with the paper's reference values so reports and
 //! tests can show paper-vs-measured side by side.
 
-use ddos_schema::{Dataset, DatasetSummary};
+use ddos_schema::{DatasetSummary, Records};
 use serde::{Deserialize, Serialize};
 
 /// The paper's Table III values, for comparison columns.
@@ -42,9 +42,9 @@ pub struct SummaryComparison {
 
 impl SummaryComparison {
     /// Computes the measured summary and pairs it with the reference.
-    pub fn compute(ds: &Dataset) -> SummaryComparison {
+    pub fn compute<'a>(records: impl Into<Records<'a>>) -> SummaryComparison {
         SummaryComparison {
-            measured: ds.summary(),
+            measured: records.into().summary(),
             paper: PAPER_TABLE_III,
         }
     }

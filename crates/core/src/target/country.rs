@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use ddos_schema::{CountryCode, Dataset, Family};
+use ddos_schema::{CountryCode, Family, Records};
 use serde::{Deserialize, Serialize};
 
 use crate::kernels::{cc_of_slot, cc_slot, CC_SLOTS};
@@ -26,9 +26,9 @@ pub struct FamilyCountryProfile {
 
 impl FamilyCountryProfile {
     /// Counts this family's attacks per victim country.
-    pub fn compute(ds: &Dataset, family: Family) -> FamilyCountryProfile {
+    pub fn compute<'a>(records: impl Into<Records<'a>>, family: Family) -> FamilyCountryProfile {
         let mut counts: HashMap<CountryCode, usize> = HashMap::new();
-        for atk in ds.attacks() {
+        for atk in records.into().attacks() {
             if atk.family == family {
                 *counts.entry(atk.target.country).or_insert(0) += 1;
             }
@@ -53,17 +53,21 @@ impl FamilyCountryProfile {
 }
 
 /// Table V for every active family, in `Family::ACTIVE` order.
-pub fn all_profiles(ds: &Dataset) -> Vec<FamilyCountryProfile> {
+pub fn all_profiles<'a>(records: impl Into<Records<'a>>) -> Vec<FamilyCountryProfile> {
+    let records = records.into();
     Family::ACTIVE
         .into_iter()
-        .map(|family| FamilyCountryProfile::compute(ds, family))
+        .map(|family| FamilyCountryProfile::compute(records, family))
         .collect()
 }
 
 /// The overall top `k` victim countries across every family.
-pub fn overall_top_countries(ds: &Dataset, k: usize) -> Vec<(CountryCode, usize)> {
+pub fn overall_top_countries<'a>(
+    records: impl Into<Records<'a>>,
+    k: usize,
+) -> Vec<(CountryCode, usize)> {
     let mut counts: HashMap<CountryCode, usize> = HashMap::new();
-    for atk in ds.attacks() {
+    for atk in records.into().attacks() {
         *counts.entry(atk.target.country).or_insert(0) += 1;
     }
     let mut ranked = rank(counts);
@@ -79,9 +83,9 @@ pub fn overall_top_countries(ds: &Dataset, k: usize) -> Vec<(CountryCode, usize)
 /// same total order as [`all_profiles`] — identical profiles.
 pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCountryProfile> {
     if ctx.kernels.is_reference() {
-        return all_profiles(ctx.dataset);
+        return all_profiles(ctx.records);
     }
-    let attacks = ctx.dataset.attacks();
+    let attacks = ctx.records.attacks();
     // `Family::ACTIVE` lists the variants in discriminant order, so the
     // discriminant doubles as the row index.
     let mut grid = vec![0u32; Family::ACTIVE.len() * CC_SLOTS];
@@ -113,9 +117,9 @@ pub fn overall_top_countries_ctx(
     k: usize,
 ) -> Vec<(CountryCode, usize)> {
     if ctx.kernels.is_reference() {
-        return overall_top_countries(ctx.dataset, k);
+        return overall_top_countries(ctx.records, k);
     }
-    let attacks = ctx.dataset.attacks();
+    let attacks = ctx.records.attacks();
     let mut row = vec![0u32; CC_SLOTS];
     for range in ctx.kernels.chunks(attacks.len()) {
         for a in &attacks[range] {

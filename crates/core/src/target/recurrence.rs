@@ -105,7 +105,7 @@ impl RecurrenceAnalysis {
     /// whole window: builds the trains from the per-target timelines
     /// already grouped in the analysis context.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> RecurrenceAnalysis {
-        let attacks = ctx.dataset.attacks();
+        let attacks = ctx.records.attacks();
         let mut trains: Vec<TargetTrain> = ctx
             .target_timelines
             .iter()

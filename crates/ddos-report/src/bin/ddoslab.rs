@@ -88,7 +88,8 @@ fn print_help() {
          `import-csv` applies the paper's §II-D record merging (default gap 60 s;\n\
          pass --merge-gap=0 to disable).\n\
          `analyze --epochs N` slices the trace into N epochs and folds\n\
-         per-epoch contexts — byte-identical output, sharded build.\n\
+         per-epoch contexts — byte-identical output, sharded build. N runs\n\
+         from 1 to the trace window in hours (no epoch under an hour).\n\
          `serve` replays the trace through the snapshot service: each epoch\n\
          append publishes an immutable prefix-exact snapshot, and every\n\
          query answer is stamped with its epoch watermark."
@@ -117,6 +118,42 @@ fn parse_scale(s: &str) -> Result<f64, String> {
         return Err(format!("bad scale {s:?}: must be a finite number above 0"));
     }
     Ok(scale)
+}
+
+/// Parses an `--epochs` count for a trace covering `window`: at least 1
+/// and at most the window's length in whole hours, so no epoch is
+/// shorter than the feed's hourly snapshot cadence (a window under an
+/// hour still takes one epoch). Larger counts would ask the engine for
+/// one-second epochs and allocate per-epoch state beyond memory.
+fn parse_epochs(s: &str, window: Window) -> Result<usize, String> {
+    let n: usize = s
+        .trim()
+        .parse()
+        .map_err(|e| format!("bad epoch count {s:?}: {e}"))?;
+    let max = (window.length().get() / 3_600).max(1) as usize;
+    if n == 0 || n > max {
+        return Err(format!(
+            "bad epoch count {s:?}: must be between 1 and {max} (the trace window in hours)"
+        ));
+    }
+    Ok(n)
+}
+
+/// The epoch length that tiles `window` with `n` epochs (ceiling
+/// division, at least one second).
+fn epoch_len(window: Window, n: usize) -> Seconds {
+    let n = n as i64;
+    Seconds(((window.length().get() + n - 1) / n).max(1))
+}
+
+/// The value after `flag`; a missing value or another flag is an error.
+fn flag_value<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+) -> Result<&'a String, String> {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} takes a value"))
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
@@ -168,41 +205,29 @@ fn load(path: &str) -> Result<Dataset, String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("analyze requires a trace file")?;
-    let json = args.iter().any(|a| a == "--json");
-    let timings = args.iter().any(|a| a == "--timings");
-    let telemetry_out = args
-        .iter()
-        .position(|a| a == "--telemetry-json")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|a| !a.starts_with("--"))
-                .cloned()
-                .ok_or("--telemetry-json takes a file")
-        })
-        .transpose()?;
-    let epochs: Option<usize> = args
-        .iter()
-        .position(|a| a == "--epochs")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("--epochs takes a count")?
-                .parse::<usize>()
-                .map_err(|e| format!("bad epoch count: {e}"))
-        })
-        .transpose()?
-        .filter(|&n| n > 0);
+    let (path, flags) = args.split_first().ok_or("analyze requires a trace file")?;
+    let (mut json, mut timings) = (false, false);
+    let mut telemetry_out: Option<&String> = None;
+    let mut epochs: Option<&String> = None;
+    let mut it = flags.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--timings" => timings = true,
+            "--telemetry-json" => telemetry_out = Some(flag_value(arg, &mut it)?),
+            "--epochs" => epochs = Some(flag_value(arg, &mut it)?),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
     let obs = Obs::enabled();
     let (ds, _) = load_obs(path, &obs)?;
     // Both paths share the recorder with the load above, so the
     // telemetry artifact carries the ingest span alongside the
     // analysis spans.
     let report = match epochs {
-        // Ceiling-divide the window so N epochs tile it exactly.
         Some(n) => {
-            let len = Seconds((ds.window().length().get() + n as i64 - 1) / n as i64);
-            let len = Seconds(len.get().max(1));
+            let n = parse_epochs(n, ds.window())?;
+            let len = epoch_len(ds.window(), n);
             eprintln!("epoch engine: {n} epochs of {} s", len.get());
             Analysis::new(&ds).obs(&obs).epochs(len).run()
         }
@@ -211,7 +236,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if timings {
         eprintln!("{}", report.telemetry.render());
     }
-    if let Some(out) = &telemetry_out {
+    if let Some(out) = telemetry_out {
         let body = serde_json::to_string_pretty(&report.telemetry)
             .map_err(|e| format!("serializing telemetry: {e}"))?;
         std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
@@ -268,25 +293,24 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// time, answering a query after each publish so the output shows the
 /// watermark advancing, then a final snapshot summary.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("serve requires a trace file")?;
-    let timings = args.iter().any(|a| a == "--timings");
-    let epochs: usize = args
-        .iter()
-        .position(|a| a == "--epochs")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("--epochs takes a count")?
-                .parse::<usize>()
-                .map_err(|e| format!("bad epoch count: {e}"))
-        })
-        .transpose()?
-        .filter(|&n| n > 0)
-        .unwrap_or(8);
+    let (path, flags) = args.split_first().ok_or("serve requires a trace file")?;
+    let mut timings = false;
+    let mut epochs: Option<&String> = None;
+    let mut it = flags.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--timings" => timings = true,
+            "--epochs" => epochs = Some(flag_value(arg, &mut it)?),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
     let obs = Obs::enabled();
     let (ds, _) = load_obs(path, &obs)?;
-    // Ceiling-divide the window so N epochs tile it exactly.
-    let len = Seconds(((ds.window().length().get() + epochs as i64 - 1) / epochs as i64).max(1));
+    let epochs = match epochs {
+        Some(n) => parse_epochs(n, ds.window())?,
+        None => 8,
+    };
+    let len = epoch_len(ds.window(), epochs);
     let service = AnalysisService::new(&ds, PipelineOptions::default(), len, &obs);
     println!(
         "== serving {path}: {} epochs of {} s ==",
@@ -454,6 +478,33 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_epochs_accepts_one_up_to_the_window_in_hours() {
+        let paper = Window::PAPER;
+        let hours = (paper.length().get() / 3_600) as usize;
+        assert_eq!(parse_epochs("1", paper), Ok(1));
+        assert_eq!(parse_epochs(" 8 ", paper), Ok(8));
+        assert_eq!(parse_epochs(&hours.to_string(), paper), Ok(hours));
+        for bad in [
+            "0",
+            &(hours + 1).to_string(),
+            "100000000",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+            "",
+            "eight",
+        ] {
+            assert!(parse_epochs(bad, paper).is_err(), "{bad:?} was accepted");
+        }
+        // Every accepted count gives epochs at least an hour long.
+        assert!(epoch_len(paper, hours).get() >= 3_600);
+        // A window under an hour still takes its one epoch.
+        let short = Window::new(paper.start, paper.start + Seconds(1_800)).unwrap();
+        assert_eq!(parse_epochs("1", short), Ok(1));
+        assert!(parse_epochs("2", short).is_err());
+    }
 
     #[test]
     fn parse_scale_accepts_finite_positive_values_only() {

@@ -240,64 +240,15 @@ impl Dataset {
     /// Attacker-side counts are taken over the bot records (the `Botlist`
     /// join), victim-side counts over the attack targets. Computed on
     /// first call and cached for the lifetime of the dataset (the record
-    /// set is immutable after construction); the incremental epoch
-    /// pipeline re-runs the `summary` pass on every bot-roster change,
-    /// so repeat calls must not rescan the trace.
+    /// set is immutable after construction). The whole-trace
+    /// [`crate::shard::Records`] view answers from this cache, so every
+    /// `summary` pass over the whole trace after the first — a batch
+    /// re-run, or an incremental pipeline's last append, whose record
+    /// view is the whole trace — costs no rescan.
     pub fn summary(&self) -> DatasetSummary {
-        *self.summary.get_or_init(|| self.compute_summary())
-    }
-
-    /// The uncached Table III scan behind [`Dataset::summary`].
-    fn compute_summary(&self) -> DatasetSummary {
-        // Distinct counting over millions of small copy keys: pre-sized
-        // FastHasher sets, not SipHash.
-        let mut a_ips = fast_set(self.bots.len());
-        let mut a_city = fast_set(self.bots.len());
-        let mut a_cc = fast_set(256);
-        let mut a_org = fast_set(self.bots.len());
-        let mut a_asn = fast_set(self.bots.len());
-        for bot in &self.bots {
-            a_ips.insert(bot.ip);
-            a_city.insert(bot.location.city);
-            a_cc.insert(bot.location.country);
-            a_org.insert(bot.location.org);
-            a_asn.insert(bot.location.asn);
-        }
-        let mut v_ips: FastSet<IpAddr4> = fast_set(self.attacks.len());
-        let mut v_city: FastSet<CityId> = fast_set(self.attacks.len());
-        let mut v_cc: FastSet<CountryCode> = fast_set(256);
-        let mut v_org: FastSet<OrgId> = fast_set(self.attacks.len());
-        let mut v_asn: FastSet<Asn> = fast_set(self.attacks.len());
-        let mut protocols = fast_set(16);
-        let mut botnet_ids = fast_set(self.attacks.len());
-        for atk in &self.attacks {
-            v_ips.insert(atk.target_ip);
-            v_city.insert(atk.target.city);
-            v_cc.insert(atk.target.country);
-            v_org.insert(atk.target.org);
-            v_asn.insert(atk.target.asn);
-            protocols.insert(atk.category);
-            botnet_ids.insert(atk.botnet);
-        }
-        DatasetSummary {
-            attackers: SideSummary {
-                ips: a_ips.len(),
-                cities: a_city.len(),
-                countries: a_cc.len(),
-                organizations: a_org.len(),
-                asns: a_asn.len(),
-            },
-            victims: SideSummary {
-                ips: v_ips.len(),
-                cities: v_city.len(),
-                countries: v_cc.len(),
-                organizations: v_org.len(),
-                asns: v_asn.len(),
-            },
-            attacks: self.attacks.len(),
-            botnets: botnet_ids.len(),
-            traffic_types: protocols.len(),
-        }
+        *self
+            .summary
+            .get_or_init(|| summarize(self.bots.iter(), self.bots.len(), &self.attacks))
     }
 
     /// Rebuilds the (serde-skipped) indexes; used after deserialization.
@@ -313,6 +264,65 @@ impl Dataset {
             self.by_target.entry(atk.target_ip).or_default().push(i);
             self.by_botnet.entry(atk.botnet).or_default().push(i);
         }
+    }
+}
+
+/// The uncached Table III scan behind [`Dataset::summary`] and the
+/// prefix views' summaries: distinct counts over `bots` (attacker side;
+/// `bots_hint` sizes the sets) and `attacks` (victim side).
+pub(crate) fn summarize<'a>(
+    bots: impl Iterator<Item = &'a BotRecord>,
+    bots_hint: usize,
+    attacks: &[AttackRecord],
+) -> DatasetSummary {
+    // Distinct counting over millions of small copy keys: pre-sized
+    // FastHasher sets, not SipHash.
+    let mut a_ips = fast_set(bots_hint);
+    let mut a_city = fast_set(bots_hint);
+    let mut a_cc = fast_set(256);
+    let mut a_org = fast_set(bots_hint);
+    let mut a_asn = fast_set(bots_hint);
+    for bot in bots {
+        a_ips.insert(bot.ip);
+        a_city.insert(bot.location.city);
+        a_cc.insert(bot.location.country);
+        a_org.insert(bot.location.org);
+        a_asn.insert(bot.location.asn);
+    }
+    let mut v_ips: FastSet<IpAddr4> = fast_set(attacks.len());
+    let mut v_city: FastSet<CityId> = fast_set(attacks.len());
+    let mut v_cc: FastSet<CountryCode> = fast_set(256);
+    let mut v_org: FastSet<OrgId> = fast_set(attacks.len());
+    let mut v_asn: FastSet<Asn> = fast_set(attacks.len());
+    let mut protocols = fast_set(16);
+    let mut botnet_ids = fast_set(attacks.len());
+    for atk in attacks {
+        v_ips.insert(atk.target_ip);
+        v_city.insert(atk.target.city);
+        v_cc.insert(atk.target.country);
+        v_org.insert(atk.target.org);
+        v_asn.insert(atk.target.asn);
+        protocols.insert(atk.category);
+        botnet_ids.insert(atk.botnet);
+    }
+    DatasetSummary {
+        attackers: SideSummary {
+            ips: a_ips.len(),
+            cities: a_city.len(),
+            countries: a_cc.len(),
+            organizations: a_org.len(),
+            asns: a_asn.len(),
+        },
+        victims: SideSummary {
+            ips: v_ips.len(),
+            cities: v_city.len(),
+            countries: v_cc.len(),
+            organizations: v_org.len(),
+            asns: v_asn.len(),
+        },
+        attacks: attacks.len(),
+        botnets: botnet_ids.len(),
+        traffic_types: protocols.len(),
     }
 }
 

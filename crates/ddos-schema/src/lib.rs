@@ -65,6 +65,6 @@ pub use ids::{Asn, BotnetId, CityId, DdosId, OrgId};
 pub use ip::IpAddr4;
 pub use protocol::Protocol;
 pub use record::{AttackRecord, BotRecord, BotnetRecord, Location};
-pub use shard::{DatasetShard, EpochBatch};
+pub use shard::{DatasetShard, EpochBatch, Records};
 pub use snapshot::{HourlySnapshot, SnapshotSeries};
 pub use time::{Seconds, Timestamp, Window};

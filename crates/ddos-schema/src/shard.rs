@@ -12,12 +12,101 @@
 //! the first epoch, one starting at/after the window end in the last, so
 //! every attack belongs to exactly one shard and the shards concatenate
 //! back to the full trace.
+//!
+//! [`Records`] is the borrowed record view the analysis reads raw
+//! records through: the whole trace, or the prefix of epochs `0..=e`
+//! ([`DatasetShard::prefix`]) without copying a record.
 
 use std::ops::Range;
 
-use crate::dataset::{Dataset, DatasetBuilder};
+use crate::dataset::{summarize, Dataset, DatasetBuilder, DatasetSummary};
+use crate::family::Family;
 use crate::record::{AttackRecord, BotRecord};
 use crate::time::{Seconds, Timestamp, Window};
+
+/// A borrowed view of the records a consumer of a dataset has seen:
+/// the attacks up to an end index (a prefix of the `(start, id)`-sorted
+/// list) and the bot records *first seen* before a cutoff, in original
+/// order. The window, botnet records and snapshot series stay the
+/// dataset's (trace-wide metadata, not epoch streams).
+///
+/// `From<&Dataset>` views the whole trace; [`DatasetShard::prefix`]
+/// views the records of epochs `0..=epoch` under the boundary rule
+/// [`Dataset::shards`] and [`Dataset::epoch_prefix`] share, so the view
+/// holds exactly what that `epoch_prefix` copies.
+#[derive(Debug, Clone, Copy)]
+pub struct Records<'a> {
+    dataset: &'a Dataset,
+    attack_end: usize,
+    /// Bot records first seen at or after this instant are outside the
+    /// view; `None` keeps every record.
+    bots_before: Option<Timestamp>,
+}
+
+impl<'a> From<&'a Dataset> for Records<'a> {
+    fn from(dataset: &'a Dataset) -> Records<'a> {
+        Records {
+            dataset,
+            attack_end: dataset.len(),
+            bots_before: None,
+        }
+    }
+}
+
+impl<'a> Records<'a> {
+    /// The observation window of the trace (the full window, also for a
+    /// prefix, so epoch boundaries line up with the original partition).
+    #[inline]
+    pub fn window(&self) -> Window {
+        self.dataset.window()
+    }
+
+    /// The view's attacks, sorted by `(start, id)`.
+    #[inline]
+    pub fn attacks(&self) -> &'a [AttackRecord] {
+        &self.dataset.attacks()[..self.attack_end]
+    }
+
+    /// Number of attacks in the view.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.attack_end
+    }
+
+    /// Whether the view holds no attacks.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.attack_end == 0
+    }
+
+    /// The view's attacks launched by one family, in start order.
+    pub fn attacks_of(&self, family: Family) -> impl Iterator<Item = &'a AttackRecord> {
+        let indices = self.dataset.attack_indices_of(family);
+        let end = indices.partition_point(|&i| (i as usize) < self.attack_end);
+        let attacks = self.dataset.attacks();
+        indices[..end].iter().map(move |&i| &attacks[i as usize])
+    }
+
+    /// The view's bot records, in original order.
+    pub fn bots(&self) -> impl Iterator<Item = &'a BotRecord> {
+        let before = self.bots_before;
+        self.dataset
+            .bots()
+            .iter()
+            .filter(move |b| before.map_or(true, |t| b.first_seen < t))
+    }
+
+    /// The Table III summary of the view's records. The whole-trace
+    /// view answers from [`Dataset::summary`]'s cache; a prefix view
+    /// counts its records afresh.
+    pub fn summary(&self) -> DatasetSummary {
+        if self.attack_end == self.dataset.len() && self.bots_before.is_none() {
+            self.dataset.summary()
+        } else {
+            summarize(self.bots(), self.dataset.bots().len(), self.attacks())
+        }
+    }
+}
 
 /// A borrowed view of one epoch's slice of a dataset.
 #[derive(Debug, Clone)]
@@ -27,6 +116,10 @@ pub struct DatasetShard<'a> {
     span: Window,
     attack_range: Range<usize>,
     bot_rows: Vec<u32>,
+    /// The [`Records`] bot cutoff of [`DatasetShard::prefix`]: the
+    /// shard's end, or `None` for the last shard, which takes every
+    /// record (clamped out-of-window ones included).
+    bots_before: Option<Timestamp>,
 }
 
 impl<'a> DatasetShard<'a> {
@@ -68,6 +161,18 @@ impl<'a> DatasetShard<'a> {
     pub fn bots(&self) -> impl Iterator<Item = (u32, &'a BotRecord)> + '_ {
         let bots = self.dataset.bots();
         self.bot_rows.iter().map(move |&r| (r, &bots[r as usize]))
+    }
+
+    /// The records of epochs `0..=self.epoch()`: the attacks up to the
+    /// end of this shard's range and the bot records first seen before
+    /// its end — the view of what [`Dataset::epoch_prefix`] copies for
+    /// `self.epoch() + 1` epochs.
+    pub fn prefix(&self) -> Records<'a> {
+        Records {
+            dataset: self.dataset,
+            attack_end: self.attack_range.end,
+            bots_before: self.bots_before,
+        }
     }
 
     /// Materializes the shard into an owned [`EpochBatch`].
@@ -146,6 +251,9 @@ impl Dataset {
                 span,
                 attack_range: bounds[i]..bounds[i + 1],
                 bot_rows: rows,
+                // `epoch_of(t) <= i` is `t < span.end` below the last
+                // epoch; the last clamps every later instant in.
+                bots_before: (i + 1 < n).then_some(span.end),
             })
             .collect()
     }
@@ -161,9 +269,10 @@ impl Dataset {
     /// with the original partition.
     ///
     /// With `epochs` equal to the shard count the result is equivalent
-    /// to the original dataset. The incremental engine's prefix-exact
-    /// mode materializes passes against this to make every intermediate
-    /// report an exact prefix report.
+    /// to the original dataset. The analysis reads the same records
+    /// without the copy through [`DatasetShard::prefix`]; this owned
+    /// form is the independent oracle the tests and the benchmark check
+    /// every prefix report against.
     ///
     /// # Panics
     ///
@@ -323,26 +432,55 @@ mod tests {
         );
     }
 
+    /// Attacks before, inside, and after the window, and bots first
+    /// seen before it, inside it, and after its end: under 400 s epochs
+    /// the clamping puts one attack and bot 4 into the last epoch.
+    fn out_of_window_dataset() -> Dataset {
+        let mut b = DatasetBuilder::new(window()).allow_out_of_window();
+        for (id, start) in [(1, -100), (2, 500), (3, 2_000)] {
+            b.push_attack(attack(id, start)).unwrap();
+        }
+        b.push_bot(bot(1, -50, 10)).unwrap();
+        b.push_bot(bot(2, 100, 700)).unwrap();
+        b.push_bot(bot(3, 600, 900)).unwrap();
+        b.push_bot(bot(4, 1_500, 1_600)).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn epoch_prefix_tracks_shard_attack_bounds_and_first_seen() {
-        let ds = dataset_with_bots();
-        let shards = ds.shards(Seconds(250));
-        let expect_bots = [1, 2, 2, 3];
-        for w in 1..=shards.len() {
-            let prefix = ds.epoch_prefix(Seconds(250), w);
-            assert_eq!(
-                prefix.len(),
-                shards[w - 1].attack_range().end,
-                "watermark {w}: attack prefix"
-            );
-            assert_eq!(
-                prefix.bots().len(),
-                expect_bots[w - 1],
-                "watermark {w}: bots first seen before epoch {w}"
-            );
-            // The window (and so any re-slicing) matches the original.
-            assert_eq!(prefix.window(), ds.window());
-            assert_eq!(prefix.botnets().len(), ds.botnets().len());
+        let cases = [
+            (dataset_with_bots(), Seconds(250), vec![1, 2, 2, 3]),
+            (out_of_window_dataset(), Seconds(400), vec![2, 3, 4]),
+        ];
+        for (ds, len, expect_bots) in cases {
+            let shards = ds.shards(len);
+            assert_eq!(shards.len(), expect_bots.len());
+            for w in 1..=shards.len() {
+                let prefix = ds.epoch_prefix(len, w);
+                assert_eq!(
+                    prefix.len(),
+                    shards[w - 1].attack_range().end,
+                    "watermark {w}: attack prefix"
+                );
+                assert_eq!(
+                    prefix.bots().len(),
+                    expect_bots[w - 1],
+                    "watermark {w}: bots first seen before epoch {w}"
+                );
+                // The window (and so any re-slicing) matches the original.
+                assert_eq!(prefix.window(), ds.window());
+                assert_eq!(prefix.botnets().len(), ds.botnets().len());
+                // The borrowed view holds exactly the copied records.
+                let view = shards[w - 1].prefix();
+                assert_eq!(view.attacks(), prefix.attacks(), "watermark {w}: attacks");
+                assert_eq!(
+                    view.bots().collect::<Vec<_>>(),
+                    prefix.bots().iter().collect::<Vec<_>>(),
+                    "watermark {w}: bots"
+                );
+                assert_eq!(view.summary(), prefix.summary(), "watermark {w}: summary");
+            }
         }
     }
 

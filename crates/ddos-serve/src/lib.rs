@@ -14,7 +14,9 @@
 //! 1. **Snapshot isolation** — a query at watermark `w` returns bytes
 //!    identical to a fresh monolithic run over the dataset's first `w`
 //!    epochs ([`Dataset::epoch_prefix`]), no matter how many appends
-//!    race with it.
+//!    race with it. Every [`IncrementalPipeline`] state is such a
+//!    prefix report, because its passes read the appended epochs'
+//!    record view, never the whole trace.
 //! 2. **Monotone watermarks** — published watermarks only move
 //!    forward; two reads by the same thread never go back in time.
 //! 3. **Fault atomicity** — an append that surfaces an injected fault
@@ -57,7 +59,8 @@ pub struct Snapshot {
     /// Total epochs the underlying dataset folds into — the watermark
     /// at which the service is fully caught up.
     pub epochs: usize,
-    /// The prefix-exact report at this watermark.
+    /// The report at this watermark: byte-identical to a monolithic run
+    /// over the dataset's first `watermark` epochs.
     pub report: AnalysisReport,
 }
 
@@ -105,7 +108,7 @@ impl<'d> AnalysisService<'d> {
         epoch_len: Seconds,
         obs: &'d Obs,
     ) -> AnalysisService<'d> {
-        let pipeline = IncrementalPipeline::with_obs(ds, opts, epoch_len, obs).prefix_exact();
+        let pipeline = IncrementalPipeline::with_obs(ds, opts, epoch_len, obs);
         let epochs = pipeline.epochs();
         AnalysisService {
             writer: Mutex::new(pipeline),
@@ -132,8 +135,9 @@ impl<'d> AnalysisService<'d> {
         self.watermark() == self.epochs
     }
 
-    /// Appends the next epoch on the writer path and, if the fold
-    /// produced a new prefix-exact report, publishes it atomically.
+    /// Appends the next epoch on the writer path and, if the watermark
+    /// advanced with no re-run left pending, publishes the new prefix
+    /// report atomically.
     ///
     /// Returns `Ok(Some(stats))` while epochs remain, `Ok(None)` once
     /// the stream is exhausted. On `Err` the published snapshot is

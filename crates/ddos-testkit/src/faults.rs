@@ -14,6 +14,8 @@
 //! simply `unwrap()`. In release builds the seam is compiled out
 //! (`ddos_failpoints::ACTIVE`), so the helper is a no-op.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use ddos_analytics::Analysis;
 use ddos_failpoints::{names, FailPlan, ACTIVE};
 use ddos_schema::{codec, csv, framed, Dataset, Seconds};
@@ -55,9 +57,13 @@ pub fn inject_and_recover(name: &str, ds: &Dataset) -> Result<(), String> {
     }
     match name {
         names::INGEST_OPEN => {
+            // One file per call: concurrent callers in one process must
+            // not remove each other's trace.
+            static SEQ: AtomicU64 = AtomicU64::new(0);
             let path = std::env::temp_dir().join(format!(
-                "ddos-testkit-fault-open-{}.ddtl",
-                std::process::id()
+                "ddos-testkit-fault-open-{}-{}.ddtl",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
             ));
             std::fs::write(&path, framed::encode(ds)).map_err(|e| e.to_string())?;
             let clean = codec::encode(&Dataset::open(&path).map_err(|e| e.to_string())?);

@@ -8,8 +8,8 @@
 //! a balanced tree fold, and an incremental append all agree.
 
 use ddos_analytics::{
-    Analysis, AnalysisContext, AnalysisReport, EpochContext, IncrementalPipeline, PipelineOptions,
-    StreamFold,
+    Analysis, AnalysisContext, AnalysisReport, EpochContext, IncrementalPipeline, KernelPolicy,
+    PipelineOptions, StreamFold,
 };
 use ddos_obs::Obs;
 use ddos_schema::record::Location;
@@ -104,6 +104,11 @@ fn edge_case_dataset() -> Dataset {
     // under two-day epochs the third epoch appends a bot row without
     // contributing a single attack.
     b.push_bot(bot(7, "CN", 30.0, 4, 5)).unwrap();
+    // Never sourced either, and re-recorded on day 5: under daily
+    // epochs that epoch brings no attack and no new bot row, only a
+    // record that moves the roster's country count.
+    b.push_bot(bot(8, "FR", 46.0, 0, 1)).unwrap();
+    b.push_bot(bot(8, "JP", 36.0, 5, 5)).unwrap();
     b.push_attack(attack(Family::Pandora, 1, 1_000, 600, vec![1, 9, 2]))
         .unwrap();
     b.push_attack(attack(Family::Pandora, 2, 2 * day - 300, 3_000, vec![1, 2]))
@@ -304,6 +309,54 @@ fn incremental_pipeline_on_sim_trace_matches_batch() {
     let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
     let incremental = Analysis::new(ds).epochs(Seconds::WEEK).incremental().run();
     assert_eq!(json(&incremental), json(&Analysis::new(ds).run()));
+}
+
+/// Appends every epoch to a plain pipeline (there is no `prefix_exact()`
+/// opt-in to take: every pipeline is prefix-exact) and checks each
+/// watermark's snapshot against a fresh monolithic run over the copied
+/// epoch prefix, under every kernel-policy family.
+fn assert_every_watermark_is_a_prefix_report(ds: &Dataset, epoch_len: Seconds) {
+    let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
+    let shards = ds.shards(epoch_len).len();
+    assert!(shards > 1, "want a multi-epoch fold");
+    let want: Vec<String> = (1..=shards)
+        .map(|w| json(&Analysis::new(&ds.epoch_prefix(epoch_len, w)).run()))
+        .collect();
+    for policy in [
+        KernelPolicy::Reference,
+        KernelPolicy::Auto,
+        KernelPolicy::Chunked(1),
+    ] {
+        let opts = PipelineOptions::new()
+            .parallel(false)
+            .telemetry(false)
+            .kernels(policy);
+        let mut inc = IncrementalPipeline::new(ds, opts, epoch_len);
+        assert!(inc.snapshot_report().is_none(), "snapshot before an append");
+        while inc.append_epoch().is_some() {
+            let w = inc.watermark();
+            let snap = inc.snapshot_report().expect("clean append has a snapshot");
+            assert_eq!(json(&snap), want[w - 1], "{policy:?}: watermark {w}");
+        }
+        assert_eq!(inc.watermark(), shards);
+    }
+}
+
+#[test]
+fn every_incremental_state_is_the_exact_prefix_report() {
+    // Two-day epochs cover the bot-only epoch (days 4–5) and the
+    // cross-epoch promotions and arbitrations; daily epochs the epoch
+    // whose only news is a re-recorded bot (day 5).
+    let ds = edge_case_dataset();
+    for days in [2, 1] {
+        assert_every_watermark_is_a_prefix_report(&ds, Seconds::days(days));
+    }
+    let cfg = SimConfig {
+        scale: 0.004,
+        ..SimConfig::small()
+    };
+    let trace = generate(&cfg);
+    assert_every_watermark_is_a_prefix_report(&trace.dataset, Seconds::WEEK);
 }
 
 proptest! {
