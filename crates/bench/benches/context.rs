@@ -1,10 +1,9 @@
 //! Benches for the analysis-context build — the join+distance kernel
 //! that dominates pipeline wall time.
 //!
-//! Contrasts the PR 2 reference path (per-lookup hash join, scalar
-//! trigonometry per attack-participation) with the columnar substrate
-//! (sorted `BotTable` + CSR `SourceTable` + `dispersion_precomp`),
-//! serial and parallel.
+//! Times the columnar build (sorted `BotTable` + CSR `SourceTable` +
+//! `dispersion_precomp`), serial and parallel, and its substrate
+//! tables on their own.
 
 use bench::bench_trace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -16,9 +15,6 @@ fn bench_context(c: &mut Criterion) {
     let ds = &trace.dataset;
     let mut g = c.benchmark_group("context_build");
     g.sample_size(10);
-    g.bench_function("reference_pr2", |b| {
-        b.iter(|| black_box(AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT)))
-    });
     g.bench_function("columnar_serial", |b| {
         b.iter(|| black_box(AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false)))
     });

@@ -1,53 +1,39 @@
 //! Benches for the intra-pass chunked kernels (DESIGN.md §12): the
 //! snapshot-scan pass bodies (dispersion, weekly shifts) and the
-//! sort-sweep concurrent-collaboration detector, each against the
-//! reference (PR 6) pass body it replaces, at paper scale. The
-//! `repro --pass-bench` harness covers the whole registry and asserts
-//! the end-to-end target; these benches give criterion-grade numbers
-//! for the three kernels the PR names.
+//! sort-sweep concurrent-collaboration detector, at paper scale. The
+//! `repro --pass-bench` harness covers the whole registry, holds it to
+//! the baseline report and asserts the end-to-end target; these benches
+//! give criterion-grade numbers for the three named kernels.
 
 use bench::bench_trace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ddos_analytics::collab::concurrent::CollabAnalysis;
-use ddos_analytics::{passes, AnalysisContext, KernelPolicy};
+use ddos_analytics::{passes, AnalysisContext};
 use ddos_obs::Obs;
 use ddos_stats::ArimaSpec;
 
 fn bench_passes(c: &mut Criterion) {
     let trace = bench_trace();
     let ds = &trace.dataset;
-    let kernel_ctx = AnalysisContext::build(ds, ArimaSpec::DEFAULT);
-    let reference_ctx =
-        AnalysisContext::build(ds, ArimaSpec::DEFAULT).with_kernels(KernelPolicy::Reference);
+    let ctx = AnalysisContext::build(ds, ArimaSpec::DEFAULT);
     let obs = Obs::disabled();
     // A fully populated partial report satisfies every pass's
     // dependency slots, so each body can run in isolation.
-    let partial = passes::execute(&kernel_ctx, false, &obs);
+    let partial = passes::execute(&ctx, false, &obs);
 
+    let mut g = c.benchmark_group("pass_kernels");
+    g.sample_size(10);
     for name in ["dispersion", "shifts"] {
         let pass = passes::REGISTRY
             .iter()
             .find(|p| p.name == name)
             .expect("pass registered");
-        let group_name = format!("pass_{name}");
-        let mut g = c.benchmark_group(group_name.as_str());
-        g.sample_size(10);
-        g.bench_function("reference", |b| {
-            b.iter(|| black_box((pass.run)(&reference_ctx, &partial, &obs)))
+        g.bench_function(name, |b| {
+            b.iter(|| black_box((pass.run)(&ctx, &partial, &obs)))
         });
-        g.bench_function("chunked", |b| {
-            b.iter(|| black_box((pass.run)(&kernel_ctx, &partial, &obs)))
-        });
-        g.finish();
     }
-
-    let mut g = c.benchmark_group("concurrent_collab");
-    g.sample_size(10);
-    g.bench_function("pairwise_reference", |b| {
-        b.iter(|| black_box(CollabAnalysis::compute_ctx_reference(&kernel_ctx)))
-    });
-    g.bench_function("sort_sweep", |b| {
-        b.iter(|| black_box(CollabAnalysis::compute_ctx(&kernel_ctx)))
+    g.bench_function("concurrent_collab_sort_sweep", |b| {
+        b.iter(|| black_box(CollabAnalysis::compute_ctx(&ctx)))
     });
     g.finish();
 }

@@ -7,14 +7,11 @@
 //! repro --md            # emit EXPERIMENTS.md content (paper vs measured)
 //! repro --out DIR       # write each artifact to DIR/<id>.txt
 //! repro --list          # list experiment ids
-//! repro --ctx-bench     # time columnar context build vs PR 2 path,
-//!                       # emit BENCH_context.json
-//! repro --ctx-bench --smoke  # small trace, equivalence assertions only
 //! repro --epoch-bench   # time monolithic vs epoch-folded vs incremental,
 //!                       # emit BENCH_epochs.json
 //! repro --epoch-bench --smoke  # same on the small trace (CI mode)
-//! repro --pass-bench    # time each pass body reference vs chunked-kernel,
-//!                       # emit BENCH_passes.json
+//! repro --pass-bench    # hold the chunked kernels to the baseline report,
+//!                       # time each pass body, emit BENCH_passes.json
 //! repro --pass-bench --smoke  # same on the small trace (CI mode)
 //! repro --ingest-bench  # time v1 serial vs framed v2 decode and serial
 //!                       # vs chunked CSV parse, emit BENCH_ingest.json
@@ -30,6 +27,10 @@
 //! repro --soak N --soak-seed 0xBEEF  # replay a specific seed
 //! repro --soak N --soak-full --scale 1.0  # weekly paper-scale soak
 //! ```
+//!
+//! Unknown flags, unknown experiment ids, missing flag values and a
+//! scale that is not a finite number above 0 exit with status 1 before
+//! any trace is generated.
 
 use ddos_analytics::collab::concurrent::CollabAnalysis;
 use ddos_analytics::{
@@ -43,101 +44,142 @@ use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
 use ddos_testkit::baseline_report;
 
-fn main() {
-    let mut scale = 1.0f64;
-    let mut ids: Vec<String> = Vec::new();
-    let mut emit_md = false;
-    let mut ctx_bench = false;
-    let mut epoch_bench = false;
-    let mut pass_bench = false;
-    let mut ingest_bench = false;
-    let mut serve_bench = false;
-    let mut smoke = false;
-    let mut report_digest = false;
-    let mut soak_rounds: Option<u32> = None;
-    let mut soak_seed: Option<u64> = None;
-    let mut soak_full = false;
-    let mut scale_set = false;
-    let mut out_dir: Option<String> = None;
-    let mut telemetry_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+/// One `repro` invocation, parsed.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// `--scale`; each mode picks its own default when absent.
+    scale: Option<f64>,
+    /// Experiment ids to render (all when empty).
+    ids: Vec<String>,
+    md: bool,
+    list: bool,
+    epoch_bench: bool,
+    pass_bench: bool,
+    ingest_bench: bool,
+    serve_bench: bool,
+    smoke: bool,
+    report_digest: bool,
+    soak_rounds: Option<u32>,
+    soak_seed: Option<u64>,
+    soak_full: bool,
+    out_dir: Option<String>,
+    telemetry_out: Option<String>,
+}
+
+/// The value following `flag`; a missing value or another flag is an
+/// error.
+fn flag_value<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+) -> Result<&'a String, String> {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} takes a value"))
+}
+
+/// Parses the command line (without the program name). Everything is
+/// checked here, before any trace is generated: unknown flags and
+/// experiment ids, missing values, unparsable numbers, and a scale that
+/// is not a finite number above 0.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--scale takes a number");
-                scale_set = true;
+                let raw = flag_value(arg, &mut it)?;
+                let scale: f64 = raw
+                    .trim()
+                    .parse()
+                    .map_err(|e| format!("bad scale {raw:?}: {e}"))?;
+                if !scale.is_finite() || scale <= 0.0 {
+                    return Err(format!(
+                        "bad scale {raw:?}: must be a finite number above 0"
+                    ));
+                }
+                args.scale = Some(scale);
             }
-            "--out" => out_dir = Some(args.next().expect("--out takes a directory")),
-            "--telemetry-json" => {
-                telemetry_out = Some(args.next().expect("--telemetry-json takes a file"));
-            }
-            "--md" => emit_md = true,
-            "--ctx-bench" => ctx_bench = true,
-            "--epoch-bench" => epoch_bench = true,
-            "--pass-bench" => pass_bench = true,
-            "--ingest-bench" => ingest_bench = true,
-            "--serve-bench" => serve_bench = true,
-            "--smoke" => smoke = true,
-            "--report-digest" => report_digest = true,
+            "--out" => args.out_dir = Some(flag_value(arg, &mut it)?.clone()),
+            "--telemetry-json" => args.telemetry_out = Some(flag_value(arg, &mut it)?.clone()),
+            "--md" => args.md = true,
+            "--list" => args.list = true,
+            "--epoch-bench" => args.epoch_bench = true,
+            "--pass-bench" => args.pass_bench = true,
+            "--ingest-bench" => args.ingest_bench = true,
+            "--serve-bench" => args.serve_bench = true,
+            "--smoke" => args.smoke = true,
+            "--report-digest" => args.report_digest = true,
             "--soak" => {
-                soak_rounds = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--soak takes a round count"),
-                );
+                let raw = flag_value(arg, &mut it)?;
+                let rounds = raw
+                    .trim()
+                    .parse()
+                    .map_err(|e| format!("bad round count {raw:?}: {e}"))?;
+                args.soak_rounds = Some(rounds);
             }
             "--soak-seed" => {
-                let raw = args.next().expect("--soak-seed takes a seed");
-                let parsed = raw
-                    .strip_prefix("0x")
-                    .or_else(|| raw.strip_prefix("0X"))
-                    .map(|hex| u64::from_str_radix(hex, 16).ok())
-                    .unwrap_or_else(|| raw.parse().ok());
-                soak_seed = Some(parsed.expect("--soak-seed takes a decimal or 0x-hex u64"));
+                let raw = flag_value(arg, &mut it)?;
+                let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                    None => raw.parse().ok(),
+                };
+                let seed = parsed
+                    .ok_or_else(|| format!("bad seed {raw:?}: want a decimal or 0x-hex u64"))?;
+                args.soak_seed = Some(seed);
             }
-            "--soak-full" => soak_full = true,
-            "--list" => {
-                for e in EXPERIMENTS {
-                    println!("{:<4} {} — {}", e.id, e.title, e.description);
-                }
-                return;
-            }
-            id => ids.push(id.to_string()),
+            "--soak-full" => args.soak_full = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            id if EXPERIMENTS.iter().any(|e| e.id == id) => args.ids.push(id.to_string()),
+            id => return Err(format!("unknown experiment id {id:?} (try --list)")),
         }
     }
+    Ok(args)
+}
 
-    if ctx_bench {
-        run_ctx_bench(scale, smoke);
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(1);
+    });
+    if args.list {
+        for e in EXPERIMENTS {
+            println!("{:<4} {} — {}", e.id, e.title, e.description);
+        }
         return;
     }
-    if epoch_bench {
-        run_epoch_bench(scale, smoke);
+    let scale = args.scale.unwrap_or(1.0);
+    if args.epoch_bench {
+        run_epoch_bench(scale, args.smoke);
         return;
     }
-    if pass_bench {
-        run_pass_bench(scale, smoke);
+    if args.pass_bench {
+        run_pass_bench(scale, args.smoke);
         return;
     }
-    if ingest_bench {
-        run_ingest_bench(scale, smoke);
+    if args.ingest_bench {
+        run_ingest_bench(scale, args.smoke);
         return;
     }
-    if serve_bench {
-        run_serve_bench(scale, smoke);
+    if args.serve_bench {
+        run_serve_bench(scale, args.smoke);
         return;
     }
-    if report_digest {
+    if args.report_digest {
         run_report_digest();
         return;
     }
-    if let Some(rounds) = soak_rounds {
+    if let Some(rounds) = args.soak_rounds {
         // Soak defaults to the CI smoke scale unless --scale overrides
         // it (weekly paper-scale runs pass --scale 1.0 explicitly).
-        let soak_scale = if scale_set { scale } else { 0.05 };
-        run_soak_mode(rounds, soak_seed, soak_scale, soak_full, telemetry_out);
+        let soak_scale = args.scale.unwrap_or(0.05);
+        run_soak_mode(
+            rounds,
+            args.soak_seed,
+            soak_scale,
+            args.soak_full,
+            args.telemetry_out,
+        );
         return;
     }
 
@@ -156,180 +198,49 @@ fn main() {
     let report = AnalysisReport::run(&trace.dataset);
     eprintln!("analysis pipeline finished in {:?}\n", t1.elapsed());
 
-    if let Some(path) = &telemetry_out {
+    if let Some(path) = &args.telemetry_out {
         let json = serde_json::to_string_pretty(&report.telemetry).expect("telemetry serializes");
         std::fs::write(path, json).expect("writing telemetry json");
         eprintln!("wrote {path}");
         // Telemetry-only invocation: done once the artifact is written.
-        if ids.is_empty() && !emit_md && out_dir.is_none() {
+        if args.ids.is_empty() && !args.md && args.out_dir.is_none() {
             return;
         }
     }
 
-    if emit_md {
+    if args.md {
         print!("{}", experiments_markdown(scale, &trace, &report));
         return;
     }
 
-    let selected: Vec<&str> = if ids.is_empty() {
+    let selected: Vec<&str> = if args.ids.is_empty() {
         EXPERIMENTS.iter().map(|e| e.id).collect()
     } else {
-        ids.iter().map(String::as_str).collect()
+        args.ids.iter().map(String::as_str).collect()
     };
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = &args.out_dir {
         std::fs::create_dir_all(dir).expect("creating --out directory");
     }
     for id in selected {
-        match render(id, &trace, &report) {
-            Some(out) => {
-                if let Some(dir) = &out_dir {
-                    let path = format!("{dir}/{id}.txt");
-                    std::fs::write(&path, &out).expect("writing artifact");
-                    eprintln!("wrote {path}");
-                } else {
-                    println!("======================================================");
-                    println!("=== {id}");
-                    println!("======================================================");
-                    println!("{out}");
-                }
-            }
-            None => eprintln!("unknown experiment id {id:?} (try --list)"),
+        let out = render(id, &trace, &report).expect("ids are checked at parse time");
+        if let Some(dir) = &args.out_dir {
+            let path = format!("{dir}/{id}.txt");
+            std::fs::write(&path, &out).expect("writing artifact");
+            eprintln!("wrote {path}");
+        } else {
+            println!("======================================================");
+            println!("=== {id}");
+            println!("======================================================");
+            println!("{out}");
         }
     }
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = &args.out_dir {
         // The comparison summary rides along for free.
         let md = experiments_markdown(scale, &trace, &report);
         let path = format!("{dir}/EXPERIMENTS.md");
         std::fs::write(&path, md).expect("writing comparison");
         eprintln!("wrote {path}");
     }
-}
-
-/// Times the context build across its three implementations — the PR 2
-/// reference path (hash join + scalar trig), the columnar serial build,
-/// and the columnar parallel build — asserts all three are
-/// analysis-equivalent (dispersion series bit-identical) and the final
-/// reports byte-identical, then writes `BENCH_context.json`.
-///
-/// With `--smoke` the run uses the small simulated trace, performs only
-/// the equivalence assertions plus a single timed round, and writes no
-/// file — the CI-friendly mode.
-fn run_ctx_bench(scale: f64, smoke: bool) {
-    let cfg = if smoke {
-        SimConfig::small()
-    } else {
-        SimConfig {
-            scale,
-            ..SimConfig::default()
-        }
-    };
-    eprintln!("generating trace (scale {})...", cfg.scale);
-    let trace = generate(&cfg);
-    let ds = &trace.dataset;
-    let participations: usize = ds.attacks().iter().map(|a| a.sources.len()).sum();
-    eprintln!(
-        "generated {} attacks, {} bot records, {} participations",
-        ds.attacks().len(),
-        ds.bots().len(),
-        participations
-    );
-
-    // Correctness first: the columnar builds must carry the exact
-    // analysis inputs of the reference build, bit for bit.
-    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
-    let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let parallel = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-    serial.assert_same_analysis(&reference);
-    serial.assert_same_analysis(&parallel);
-    drop((reference, serial, parallel));
-    eprintln!("context equivalence: reference == columnar serial == columnar parallel");
-
-    // And the reports the builds feed must serialize identically.
-    let parallel_report = AnalysisReport::run(ds);
-    let serial_report = Analysis::new(ds).parallel(false).run();
-    let pj = serde_json::to_string(&parallel_report).expect("report serializes");
-    let sj = serde_json::to_string(&serial_report).expect("report serializes");
-    assert_eq!(pj, sj, "parallel and serial context reports diverged");
-    drop((serial_report, pj, sj));
-    eprintln!("report equivalence: parallel == serial");
-
-    // Interleaved rounds (reference, serial, parallel per round) with
-    // best-of-N per variant: systematic drift (thermal, noisy-neighbor)
-    // hits every variant alike instead of whichever ran last, and the
-    // context drop happens outside the timed region.
-    let rounds = if smoke { 1 } else { 5 };
-    let mut reference_s = f64::MAX;
-    let mut serial_s = f64::MAX;
-    let mut parallel_s = f64::MAX;
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        let ctx = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
-        reference_s = reference_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(ctx));
-
-        let t = std::time::Instant::now();
-        let ctx = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-        serial_s = serial_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(ctx));
-
-        let t = std::time::Instant::now();
-        let ctx = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-        parallel_s = parallel_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(ctx));
-    }
-    let mut pipeline_s = f64::MAX;
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        let report = AnalysisReport::run(ds);
-        pipeline_s = pipeline_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(report));
-    }
-
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("context build (best of {rounds}):");
-    println!("  reference (PR 2 path):   {reference_s:>8.3} s");
-    println!("  columnar serial:         {serial_s:>8.3} s");
-    println!("  columnar parallel:       {parallel_s:>8.3} s  ({threads} threads)");
-    println!(
-        "  speedup (parallel/ref):  {:>8.2}x",
-        reference_s / parallel_s
-    );
-    println!(
-        "  resolves/sec (parallel): {:>12.0}",
-        participations as f64 / parallel_s
-    );
-    println!("full pipeline (parallel):  {pipeline_s:>8.3} s");
-
-    if smoke {
-        println!("smoke mode: skipping BENCH_context.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"trace\": {{\n    \"scale\": {},\n    \"attacks\": {},\n    \
-         \"bot_records\": {},\n    \"participations\": {}\n  }},\n  \
-         \"context_build\": {{\n    \"reference_s\": {:.6},\n    \
-         \"columnar_serial_s\": {:.6},\n    \"columnar_parallel_s\": {:.6},\n    \
-         \"speedup_serial_vs_reference\": {:.3},\n    \
-         \"speedup_parallel_vs_reference\": {:.3},\n    \
-         \"resolves_per_sec_parallel\": {:.0}\n  }},\n  \
-         \"full_pipeline_parallel_s\": {:.6},\n  \"threads\": {},\n  \
-         \"rounds\": {}\n}}\n",
-        cfg.scale,
-        ds.attacks().len(),
-        ds.bots().len(),
-        participations,
-        reference_s,
-        serial_s,
-        parallel_s,
-        reference_s / serial_s,
-        reference_s / parallel_s,
-        participations as f64 / parallel_s,
-        pipeline_s,
-        threads,
-        rounds,
-    );
-    std::fs::write("BENCH_context.json", &json).expect("writing BENCH_context.json");
-    eprintln!("wrote BENCH_context.json");
 }
 
 /// Times the epoch-sharded engine against the monolithic rebuild —
@@ -496,27 +407,29 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
 /// The PR 6 baseline for the end-to-end parallel pipeline at paper
 /// scale: `full_pipeline_parallel_s` from `BENCH_context.json` as
 /// committed by the PR 6 epoch-engine change (`git show
-/// 39da03f:BENCH_context.json`), produced by this binary's
-/// `--ctx-bench` on this container. The pass-bench asserts the current
-/// kernel pipeline beats it by >= 1.5x. (The in-binary reference
-/// policy is a weaker baseline: it reruns PR 6's gated algorithms but
-/// inherits PR 7's ungated infrastructure wins, so it understates the
-/// release-over-release delta.)
+/// 39da03f:BENCH_context.json`), measured by the context-build bench
+/// mode this binary had then, on the container of that time. The
+/// pass-bench asserts the current kernel pipeline beats it by >= 1.5x.
+/// (The in-binary [`baseline_report`] is a weaker baseline: it reruns
+/// the pre-kernel algorithms but inherits the later infrastructure
+/// wins, so it understates the release-over-release delta.)
 const PR6_PIPELINE_PARALLEL_S: f64 = 0.308603;
 
-/// Times every registered pass body under the [`KernelPolicy::Reference`]
-/// path (the PR 6 algorithms, bit for bit) against the chunked-kernel
-/// path, plus the end-to-end pipeline under both policies, and writes
-/// `BENCH_passes.json` (in smoke mode too, flagged `"smoke": true`).
+/// Holds the chunked-kernel engine to the pre-kernel algorithms, times
+/// every registered pass body and the end-to-end pipeline against
+/// [`baseline_report`], and writes `BENCH_passes.json` (in smoke mode
+/// too, flagged `"smoke": true`).
 ///
-/// Correctness gates run before any timing, in smoke mode too:
-/// the serialized report must be byte-identical across the reference,
-/// auto, and forced-chunked policies, and the sort-sweep concurrent
-/// collaboration detector must reproduce the pairwise scan exactly.
-/// In full mode the run additionally asserts the end-to-end speedup
-/// target (>= 1.5x vs the committed PR 6 baseline, and no regression
-/// vs the in-binary reference policy) and that the sweep scales
-/// sub-quadratically (half-trace vs full-trace timing ratio).
+/// Correctness gates run before any timing, in smoke mode too: the
+/// serialized report must be byte-identical across [`baseline_report`]
+/// (the public `compute(ds)` bodies the kernels replaced) and the auto
+/// and forced-chunked policies, and the sort-sweep concurrent
+/// collaboration detector must reproduce the pairwise scan of
+/// [`CollabAnalysis::compute`] exactly. In full mode the run
+/// additionally asserts the end-to-end speedup target (>= 1.5x vs the
+/// committed PR 6 baseline, and no regression vs [`baseline_report`])
+/// and that the sweep scales sub-quadratically (half-trace vs
+/// full-trace timing ratio).
 fn run_pass_bench(scale: f64, smoke: bool) {
     let cfg = if smoke {
         SimConfig::small()
@@ -536,7 +449,7 @@ fn run_pass_bench(scale: f64, smoke: bool) {
     let json = |r: &AnalysisReport| serde_json::to_string(r).expect("report serializes");
     let run_with =
         |kernels: KernelPolicy| Analysis::new(ds).telemetry(false).kernels(kernels).run();
-    let want = json(&run_with(KernelPolicy::Reference));
+    let want = json(&baseline_report(ds, ArimaSpec::DEFAULT));
     for policy in [
         KernelPolicy::Auto,
         KernelPolicy::Chunked(1),
@@ -545,20 +458,17 @@ fn run_pass_bench(scale: f64, smoke: bool) {
         assert_eq!(
             json(&run_with(policy)),
             want,
-            "{policy:?} report diverged from the reference policy"
+            "{policy:?} report diverged from the baseline report"
         );
     }
-    eprintln!("report equivalence: reference == auto == chunked(1) == chunked(3)");
+    eprintln!("report equivalence: baseline == auto == chunked(1) == chunked(3)");
 
     // The sweep detector must reproduce the pairwise scan exactly —
     // same pairs, same events, same histogram maps.
-    let kernel_ctx = AnalysisContext::build(ds, ArimaSpec::DEFAULT);
-    let reference_ctx =
-        AnalysisContext::build(ds, ArimaSpec::DEFAULT).with_kernels(KernelPolicy::Reference);
-    let sweep = serde_json::to_string(&CollabAnalysis::compute_ctx(&kernel_ctx))
-        .expect("collab serializes");
-    let pairwise = serde_json::to_string(&CollabAnalysis::compute_ctx_reference(&kernel_ctx))
-        .expect("collab serializes");
+    let ctx = AnalysisContext::build(ds, ArimaSpec::DEFAULT);
+    let sweep =
+        serde_json::to_string(&CollabAnalysis::compute_ctx(&ctx)).expect("collab serializes");
+    let pairwise = serde_json::to_string(&CollabAnalysis::compute(ds)).expect("collab serializes");
     assert_eq!(
         sweep, pairwise,
         "sort-sweep diverged from the pairwise scan"
@@ -566,43 +476,35 @@ fn run_pass_bench(scale: f64, smoke: bool) {
     eprintln!("collaboration equivalence: sort-sweep == pairwise scan");
 
     // Per-pass timings: run every registered pass body against a fully
-    // populated partial report (so dependency slots are present), under
-    // both policies, interleaved best-of-N.
+    // populated partial report (so dependency slots are present),
+    // best-of-N.
     let obs = Obs::disabled();
-    let partial = passes::execute(&kernel_ctx, false, &obs);
+    let partial = passes::execute(&ctx, false, &obs);
     let rounds = if smoke { 1 } else { 5 };
     let n = passes::REGISTRY.len();
-    let mut reference_mins = vec![f64::MAX; n];
     let mut kernel_mins = vec![f64::MAX; n];
     for _ in 0..rounds {
         for (i, pass) in passes::REGISTRY.iter().enumerate() {
             let t = std::time::Instant::now();
-            let out = (pass.run)(&reference_ctx, &partial, &obs);
-            reference_mins[i] = reference_mins[i].min(t.elapsed().as_secs_f64());
-            drop(std::hint::black_box(out));
-
-            let t = std::time::Instant::now();
-            let out = (pass.run)(&kernel_ctx, &partial, &obs);
+            let out = (pass.run)(&ctx, &partial, &obs);
             kernel_mins[i] = kernel_mins[i].min(t.elapsed().as_secs_f64());
             drop(std::hint::black_box(out));
         }
     }
 
-    // End to end: two baselines. The in-binary one pins the pipeline to
-    // the reference policy — the pre-kernel pass bodies over the same
-    // context build (one family resolver serves every policy), so its
-    // ratio compares pass bodies only; it is the bit-identity anchor
-    // for the per-pass table above. The asserted
-    // baseline is PR 6's committed end-to-end figure (see
-    // `PR6_PIPELINE_PARALLEL_S`), measured by this same binary's
-    // `--ctx-bench` on this container at the PR 6 commit.
-    let _ = run_with(KernelPolicy::Reference);
+    // End to end: two baselines. The in-binary one is
+    // [`baseline_report`] — the pre-kernel algorithms with no shared
+    // context, the same denominator `--epoch-bench` uses. The asserted
+    // one is PR 6's committed end-to-end figure (see
+    // `PR6_PIPELINE_PARALLEL_S`). Interleaved best-of-N after a
+    // warm-up of each.
+    let _ = baseline_report(ds, ArimaSpec::DEFAULT);
     let _ = run_with(KernelPolicy::Auto);
     let mut baseline_s = f64::MAX;
     let mut pipeline_s = f64::MAX;
     for _ in 0..rounds {
         let t = std::time::Instant::now();
-        let r = run_with(KernelPolicy::Reference);
+        let r = baseline_report(ds, ArimaSpec::DEFAULT);
         baseline_s = baseline_s.min(t.elapsed().as_secs_f64());
         drop(std::hint::black_box(r));
 
@@ -631,7 +533,7 @@ fn run_pass_bench(scale: f64, smoke: bool) {
         drop(std::hint::black_box(c));
 
         let t = std::time::Instant::now();
-        let c = CollabAnalysis::compute_ctx(&kernel_ctx);
+        let c = CollabAnalysis::compute_ctx(&ctx);
         full_s = full_s.min(t.elapsed().as_secs_f64());
         drop(std::hint::black_box(c));
     }
@@ -641,23 +543,14 @@ fn run_pass_bench(scale: f64, smoke: bool) {
     let time_ratio = full_s / half_s;
 
     println!("pass kernels (best of {rounds}):");
-    println!(
-        "  {:<22} {:>12} {:>12} {:>9}",
-        "pass", "reference_us", "kernel_us", "speedup"
-    );
+    println!("  {:<22} {:>12}", "pass", "kernel_us");
     for (i, pass) in passes::REGISTRY.iter().enumerate() {
-        println!(
-            "  {:<22} {:>12.1} {:>12.1} {:>8.2}x",
-            pass.name,
-            reference_mins[i] * 1e6,
-            kernel_mins[i] * 1e6,
-            reference_mins[i] / kernel_mins[i]
-        );
+        println!("  {:<22} {:>12.1}", pass.name, kernel_mins[i] * 1e6);
     }
     println!("end to end:");
-    println!("  reference policy (in-binary): {baseline_s:>8.3} s");
+    println!("  baseline report (in-binary):  {baseline_s:>8.3} s");
     println!("  chunked kernels (auto):       {pipeline_s:>8.3} s");
-    println!("  speedup (in-binary):          {end_to_end:>8.2}x");
+    println!("  speedup (in-binary):          {end_to_end:>8.2}x  (want >= 1.0)");
     println!("  PR 6 committed baseline:      {PR6_PIPELINE_PARALLEL_S:>8.3} s");
     println!("  speedup vs PR 6:              {vs_pr6:>8.2}x  (want >= 1.5)");
     println!("collaboration sweep scaling:");
@@ -676,7 +569,7 @@ fn run_pass_bench(scale: f64, smoke: bool) {
         );
         assert!(
             end_to_end >= 1.0,
-            "chunked kernels regressed below the in-binary reference policy \
+            "chunked kernels regressed below the baseline report \
              ({pipeline_s:.3} s vs {baseline_s:.3} s)"
         );
         assert!(
@@ -689,19 +582,16 @@ fn run_pass_bench(scale: f64, smoke: bool) {
     let mut rows = String::new();
     for (i, pass) in passes::REGISTRY.iter().enumerate() {
         rows.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"reference_s\": {:.6}, \"kernel_s\": {:.6}, \
-             \"speedup\": {:.3} }}{}\n",
+            "    {{ \"name\": \"{}\", \"kernel_s\": {:.6} }}{}\n",
             pass.name,
-            reference_mins[i],
             kernel_mins[i],
-            reference_mins[i] / kernel_mins[i],
             if i + 1 == n { "" } else { "," }
         ));
     }
     let out = format!(
         "{{\n  \"smoke\": {},\n  \"trace\": {{\n    \"scale\": {},\n    \
          \"attacks\": {}\n  }},\n  \"rounds\": {},\n  \"passes\": [\n{}  ],\n  \
-         \"end_to_end\": {{\n    \"reference_policy_s\": {:.6},\n    \
+         \"end_to_end\": {{\n    \"baseline_report_s\": {:.6},\n    \
          \"kernel_policy_s\": {:.6},\n    \"speedup_in_binary\": {:.3},\n    \
          \"pr6_baseline_s\": {:.6},\n    \"speedup_vs_pr6\": {:.3}\n  }},\n  \
          \"collab_scaling\": {{\n    \"half_attacks\": {},\n    \
@@ -1260,4 +1150,47 @@ fn experiments_markdown(
          `ddos-sim::calibration`.\n",
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn parse_args_rejects_what_it_does_not_know() {
+        let ok = parse(&["--scale", "0.05", "t4", "f12", "--smoke"]).unwrap();
+        assert_eq!(ok.scale, Some(0.05));
+        assert_eq!(ok.ids, ["t4", "f12"]);
+        assert!(ok.smoke);
+        let soak = parse(&["--soak", "3", "--soak-seed", "0xBEEF", "--soak-full"]).unwrap();
+        assert_eq!(soak.soak_rounds, Some(3));
+        assert_eq!(soak.soak_seed, Some(0xBEEF));
+        assert!(soak.soak_full);
+        assert_eq!(parse(&["--soak-seed", "42"]).unwrap().soak_seed, Some(42));
+        assert_eq!(parse(&[]).unwrap(), Args::default());
+        for bad in [
+            &["--ctx-bench"][..],
+            &["--ctx-bnech", "--smoke"],
+            &["--scale", "abc"],
+            &["--scale", "0", "t4"],
+            &["--scale", "-1"],
+            &["--scale", "inf"],
+            &["--scale", "NaN"],
+            &["--scale"],
+            &["--scale", "--smoke"],
+            &["--out"],
+            &["--telemetry-json"],
+            &["--soak", "many"],
+            &["--soak-seed", "0xZZ"],
+            &["t99"],
+            &["-h"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 }

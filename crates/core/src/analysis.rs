@@ -76,8 +76,8 @@ impl<'d> Analysis<'d> {
     }
 
     /// Starts a builder that runs the pass scheduler over a context
-    /// built elsewhere (the conformance suite feeds the same passes a
-    /// columnar and a reference-built context this way). Engine
+    /// built elsewhere (the conformance suite feeds the passes a
+    /// stream-folded context this way). Engine
     /// selectors ([`Analysis::epochs`], [`Analysis::incremental`]) are
     /// incompatible with a prebuilt context and panic at
     /// [`Analysis::try_run`]. Without [`Analysis::obs`] no
@@ -260,7 +260,7 @@ mod tests {
         assert_eq!(batch, json(&Analysis::new(&ds).incremental().run()));
         assert_eq!(
             batch,
-            json(&Analysis::new(&ds).kernels(KernelPolicy::Reference).run())
+            json(&Analysis::new(&ds).kernels(KernelPolicy::Chunked(1)).run())
         );
     }
 

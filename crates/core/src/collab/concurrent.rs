@@ -69,16 +69,12 @@ impl CollabAnalysis {
         Self::detect(attacks, targets.iter().map(|(_, idxs)| idxs.as_slice()))
     }
 
-    /// Context-based variant of [`CollabAnalysis::compute`]: consumes
-    /// the per-target timelines already grouped and sorted in the
-    /// analysis context. Under any policy but
-    /// [`KernelPolicy::Reference`] it runs the sort-sweep kernel
-    /// ([`CollabAnalysis::detect_sweep`]); the CI smoke gate and the
-    /// pass bench hard-assert the two stay byte-identical.
+    /// Context-based variant of [`CollabAnalysis::compute`]: runs the
+    /// sort-sweep kernel ([`CollabAnalysis::detect_sweep`]) over the
+    /// per-target timelines already grouped and sorted in the analysis
+    /// context. The kernels proptest and the pass bench hold it
+    /// byte-identical to the pairwise scan of `compute`.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> CollabAnalysis {
-        if ctx.kernels.is_reference() {
-            return Self::compute_ctx_reference(ctx);
-        }
         let lists: Vec<&[usize]> = ctx
             .target_timelines
             .iter()
@@ -87,20 +83,10 @@ impl CollabAnalysis {
         Self::detect_sweep(ctx.records.attacks(), &lists, ctx.kernels)
     }
 
-    /// The reference pairwise detection over the context's timelines —
-    /// exposed so benches and the CI smoke gate can pit the sweep
-    /// kernel against the scan it replaced.
-    pub fn compute_ctx_reference(ctx: &crate::context::AnalysisContext) -> CollabAnalysis {
-        Self::detect(
-            ctx.records.attacks(),
-            ctx.target_timelines.iter().map(|t| t.attacks.as_slice()),
-        )
-    }
-
-    /// The detection rule over per-target attack-index lists. The lists
-    /// must arrive sorted by target IP with indices ascending — both
-    /// providers guarantee it, which is what keeps the two entry points
-    /// byte-identical.
+    /// The pairwise detection rule over per-target attack-index lists.
+    /// The lists must arrive sorted by target IP with indices ascending
+    /// — the order [`CollabAnalysis::detect_sweep`] reads the context's
+    /// timelines in, which is what keeps the two byte-identical.
     fn detect<'t>(
         attacks: &[AttackRecord],
         per_target: impl Iterator<Item = &'t [usize]>,
@@ -194,13 +180,13 @@ impl CollabAnalysis {
     /// `break` kept, in the same order. Components use an arena
     /// union-find over local positions (no hashing, no recursion), and
     /// members are gathered by one ascending position sweep, so each
-    /// event's attack list comes out sorted without the reference's
-    /// per-component re-sort.
+    /// event's attack list comes out sorted without the pairwise
+    /// scan's per-component re-sort.
     ///
     /// Chunking is over the per-target lists: pair runs concatenate in
     /// chunk order (equal to sequential order), per-chunk Table VI maps
     /// merge by addition, and events get one final total sort on their
-    /// least attack index — the same sort the reference needs anyway —
+    /// least attack index — the same sort the pairwise scan needs anyway —
     /// so any chunking is byte-identical.
     fn detect_sweep(
         attacks: &[AttackRecord],
@@ -567,7 +553,6 @@ mod tests {
         let expect = CollabAnalysis::compute(&ds);
         assert!(!expect.pairs.is_empty(), "fixture must exercise pairs");
         for policy in [
-            KernelPolicy::Reference,
             KernelPolicy::Auto,
             KernelPolicy::Chunked(1),
             KernelPolicy::Chunked(2),

@@ -16,8 +16,8 @@
 //! `ddos-geo` that read cached `sin`/`cos` instead of recomputing each
 //! bot's trigonometry per attack-participation, and the per-family
 //! resolution fans out on scoped threads in deterministic chunks.
-//! [`AnalysisContext::build_reference`] keeps the pre-columnar serial
-//! path as the equivalence/benchmark baseline.
+//! The pre-columnar serial build lives on outside the engine, as
+//! `ddos_testkit`'s `reference_context_parts` oracle.
 //!
 //! # Invariants
 //!
@@ -39,14 +39,14 @@
 //! * Parallel and serial builds are **bit-identical**: chunks merge in
 //!   (family, chunk) order, and the precomp kernels evaluate the exact
 //!   scalar expressions (see `ddos_geo::trig`). The pipeline-equivalence
-//!   suite enforces this against [`AnalysisContext::build_reference`].
+//!   suite enforces this against `ddos_testkit::reference_context_parts`.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ddos_geo::{
-    dispersion, dispersion_precomp_indexed_counted, dispersion_precomp_indexed_presummed,
-    CenterSum, KernelCounters,
+    dispersion_precomp_indexed_counted, dispersion_precomp_indexed_presummed, CenterSum,
+    KernelCounters,
 };
 use ddos_obs::Obs;
 use ddos_schema::{CountryCode, Dataset, Family, IpAddr4, Records, Timestamp};
@@ -57,7 +57,7 @@ use crate::columnar::{
 };
 use crate::kernels::KernelPolicy;
 use crate::source::dispersion::FamilyDispersion;
-use crate::util::{BotIndex, IpMap};
+use crate::util::IpMap;
 
 /// One target's attack history: indices into `Dataset::attacks()`,
 /// ascending (therefore in start order).
@@ -107,9 +107,9 @@ pub struct AnalysisContext<'a> {
     pub all_starts: Vec<Timestamp>,
     /// Per-target attack histories, sorted by target IP.
     pub target_timelines: Vec<TargetTimeline>,
-    /// Which pass-body kernels the passes run against this context
-    /// (reference algorithms vs chunked partial-merge kernels — the
-    /// report bytes are identical either way; see [`crate::kernels`]).
+    /// How the chunked partial-merge pass kernels cut their input
+    /// against this context (the report bytes are identical for every
+    /// policy; see [`crate::kernels`]).
     pub kernels: KernelPolicy,
     /// Per-family precomputation in [`Family::ACTIVE`] order.
     families: Vec<FamilyContext>,
@@ -170,8 +170,9 @@ struct FamilyChunk {
 /// *is* its trig row), so each id slice is walked once. The center
 /// fold pushes in id order and [`dispersion_precomp_indexed_presummed`]
 /// finishes with the one-call kernel's exact expressions, so every
-/// output bit matches [`AnalysisContext::build_reference`]; the context
-/// equivalence suite pins that for every chunking. At paper scale this
+/// output bit matches the pre-columnar scalar build
+/// (`ddos_testkit::reference_context_parts`); the context equivalence
+/// suite pins that for every chunking. At paper scale this
 /// is the context build's hottest loop.
 ///
 /// `ids_of(i)` mirrors `attacks[i].sources` one-to-one, so a
@@ -512,88 +513,6 @@ impl<'a> AnalysisContext<'a> {
         }
     }
 
-    /// The pre-columnar build: per-lookup hash join through
-    /// [`BotIndex`], scalar trigonometry per attack-participation,
-    /// serial per-family loop. Kept as the reference the equivalence
-    /// suite holds the columnar build bit-equal to, and as the baseline
-    /// of `repro --ctx-bench`. (The columnar tables are still attached
-    /// so the context stays fully functional for every pass.)
-    pub fn build_reference(dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
-        let bots = BotIndex::build(dataset);
-        let bot_table = BotTable::build(dataset);
-        let sources = SourceTable::build(dataset, &bot_table, false);
-        let window = dataset.window();
-        let attacks = dataset.attacks();
-
-        let mut durations = Vec::with_capacity(attacks.len());
-        let mut all_starts = Vec::with_capacity(attacks.len());
-        let mut by_target: IpMap<Vec<usize>> = IpMap::default();
-        for (i, a) in attacks.iter().enumerate() {
-            durations.push(a.duration().as_f64());
-            all_starts.push(a.start);
-            by_target.entry(a.target_ip).or_default().push(i);
-        }
-        let mut target_timelines: Vec<TargetTimeline> = by_target
-            .into_iter()
-            .map(|(target, attacks)| TargetTimeline { target, attacks })
-            .collect();
-        target_timelines.sort_by_key(|t| t.target);
-
-        let num_weeks = window.num_weeks();
-        let families = Family::ACTIVE
-            .into_iter()
-            .map(|family| {
-                let mut starts = Vec::new();
-                let mut series = Vec::new();
-                let mut days = HashSet::new();
-                let mut weekly: Vec<IpMap<CountryCode>> = vec![IpMap::default(); num_weeks];
-                for a in dataset.attacks_of(family) {
-                    starts.push(a.start);
-                    let week = window.week_index(a.start);
-                    let mut coords = Vec::with_capacity(a.sources.len());
-                    for &ip in &a.sources {
-                        let Some((cc, c)) = bots.lookup(ip) else {
-                            continue;
-                        };
-                        coords.push(c);
-                        if let Some(w) = week {
-                            weekly[w].insert(ip, cc);
-                        }
-                    }
-                    let Some(d) = dispersion(&coords) else {
-                        continue;
-                    };
-                    if let Some(day) = window.day_index(a.start) {
-                        days.insert(day);
-                    }
-                    series.push((a.start, d.value()));
-                }
-                FamilyContext {
-                    family,
-                    starts,
-                    dispersion: FamilyDispersion {
-                        family,
-                        series,
-                        active_days: days.len(),
-                    },
-                    weekly_bots: weekly,
-                }
-            })
-            .collect();
-
-        AnalysisContext {
-            records: dataset.into(),
-            spec,
-            bot_table,
-            sources,
-            durations,
-            all_starts,
-            target_timelines,
-            kernels: KernelPolicy::Reference,
-            families,
-        }
-    }
-
     /// Assembles a context from precomputed parts — the exit point of
     /// the epoch fold ([`crate::epoch::EpochContext`]). Callers are
     /// responsible for upholding the module invariants; the epoch
@@ -655,8 +574,8 @@ impl<'a> AnalysisContext<'a> {
 
     /// Asserts that `self` and `other` carry the same analysis inputs,
     /// with the dispersion series compared **bit-for-bit**. Used by the
-    /// equivalence suite and `repro --ctx-bench --smoke` to hold the
-    /// parallel and reference builds to the serial columnar build.
+    /// equivalence suites to hold the parallel, chunked and epoch-folded
+    /// builds to the serial columnar build.
     ///
     /// # Panics
     ///
@@ -709,6 +628,7 @@ mod tests {
     use crate::overview::test_support::{attack, dataset};
     use crate::source::dispersion::qualifying_families;
     use crate::source::shift::ShiftAnalysis;
+    use crate::util::BotIndex;
 
     #[test]
     fn vectors_follow_trace_order() {
@@ -777,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_serial_and_reference_builds_agree() {
+    fn parallel_and_serial_builds_agree() {
         let ds = dataset(vec![
             attack(Family::Dirtjumper, 1, 100, 600, 1),
             attack(Family::Dirtjumper, 2, 150, 600, 1),
@@ -787,9 +707,7 @@ mod tests {
         ]);
         let serial = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, false);
         let parallel = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, true);
-        let reference = AnalysisContext::build_reference(&ds, ArimaSpec::DEFAULT);
         serial.assert_same_analysis(&parallel);
-        serial.assert_same_analysis(&reference);
     }
 
     #[test]

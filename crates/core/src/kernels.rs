@@ -4,21 +4,20 @@
 //! per-chunk partials over the columnar substrate and merges them
 //! deterministically in chunk order, so the report stays byte-identical
 //! to the serial algorithms for any chunk size (DESIGN.md §12 states
-//! the contract). [`KernelPolicy`] selects which body runs:
+//! the contract). [`KernelPolicy`] selects how the input is cut:
 //!
-//! * [`KernelPolicy::Reference`] — the pre-kernel algorithms, kept
-//!   verbatim as the in-binary baseline the equivalence suite and
-//!   `repro --pass-bench` hold the kernels bit-equal to. It selects
-//!   pass bodies only: every policy resolves the context's families
-//!   with the same fused resolver.
-//! * [`KernelPolicy::Auto`] — chunked kernels, one chunk per available
-//!   worker (the default).
-//! * [`KernelPolicy::Chunked`] — chunked kernels with a fixed chunk
-//!   length, the override the proptests use to force degenerate
-//!   chunkings (size 1, size larger than the input).
+//! * [`KernelPolicy::Auto`] — one chunk per available worker (the
+//!   default).
+//! * [`KernelPolicy::Chunked`] — a fixed chunk length, the override
+//!   the proptests use to force degenerate chunkings (size 1, size
+//!   larger than the input).
 //!
-//! Passes without a chunked kernel (`blacklist`, the two interval
-//! passes) run one body under every policy.
+//! The serial algorithms the kernels replaced are the public
+//! `compute(ds)` functions of each analysis; `ddos_testkit`'s
+//! `baseline_report` runs exactly those, and the kernels proptest and
+//! `repro --pass-bench` hold every policy byte-equal to it. Passes
+//! without a chunked kernel (`blacklist`, the two interval passes) run
+//! one body under every policy.
 
 use std::ops::Range;
 
@@ -28,8 +27,6 @@ use ddos_schema::CountryCode;
 /// How the gated pass kernels execute. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
-    /// The pre-kernel reference algorithms (PR 6 pass bodies).
-    Reference,
     /// Chunked kernels, one chunk per available worker.
     #[default]
     Auto,
@@ -38,19 +35,12 @@ pub enum KernelPolicy {
 }
 
 impl KernelPolicy {
-    /// Whether this policy selects the reference pass bodies.
-    pub fn is_reference(self) -> bool {
-        matches!(self, KernelPolicy::Reference)
-    }
-
     /// The contiguous chunk ranges this policy cuts an input of `len`
     /// elements into. Ranges cover `0..len` exactly, in order; an empty
-    /// input yields no ranges. `Reference` never consults this (the
-    /// reference bodies are unchunked); it chunks like `Auto` so helper
-    /// code can call it unconditionally.
+    /// input yields no ranges.
     pub fn chunks(self, len: usize) -> Vec<Range<usize>> {
         match self {
-            KernelPolicy::Reference | KernelPolicy::Auto => chunk_ranges(len, worker_count()),
+            KernelPolicy::Auto => chunk_ranges(len, worker_count()),
             KernelPolicy::Chunked(c) => {
                 let c = c.max(1);
                 let mut out = Vec::with_capacity(len.div_ceil(c));
@@ -93,7 +83,6 @@ mod tests {
     #[test]
     fn chunks_cover_exactly_for_every_policy() {
         for policy in [
-            KernelPolicy::Reference,
             KernelPolicy::Auto,
             KernelPolicy::Chunked(0),
             KernelPolicy::Chunked(1),

@@ -30,9 +30,6 @@ impl DailyDistribution {
     /// per-day cells, so any chunking merges to exactly the sequential
     /// counts.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> DailyDistribution {
-        if ctx.kernels.is_reference() {
-            return Self::compute(ctx.records);
-        }
         let window = ctx.records.window();
         let mut counts = vec![0usize; window.num_days()];
         for range in ctx.kernels.chunks(ctx.all_starts.len()) {
@@ -139,7 +136,6 @@ mod tests {
         ]);
         let expect = DailyDistribution::compute(&ds);
         for policy in [
-            KernelPolicy::Reference,
             KernelPolicy::Auto,
             KernelPolicy::Chunked(1),
             KernelPolicy::Chunked(3),

@@ -43,11 +43,7 @@ impl DurationAnalysis {
             .copied()
             .zip(ctx.durations.iter().copied())
             .collect();
-        if ctx.kernels.is_reference() {
-            Self::from_series(series)
-        } else {
-            Self::from_series_kernel(series, ctx.kernels)
-        }
+        Self::from_series_kernel(series, ctx.kernels)
     }
 
     fn compute_filtered(ds: &Dataset, family: Option<Family>) -> Option<DurationAnalysis> {
@@ -78,8 +74,9 @@ impl DurationAnalysis {
     /// sample is extracted as per-chunk runs concatenated in chunk order
     /// (identical to the sequential extraction), the mean and deviation
     /// read it in that original order, and one shared sort feeds both
-    /// quantiles — the reference sorts the same sample with the same
-    /// comparator twice, so every statistic is bit-identical.
+    /// quantiles — the serial [`DurationAnalysis::from_series`] sorts
+    /// the same sample with the same comparator twice, so every
+    /// statistic is bit-identical.
     fn from_series_kernel(
         series: Vec<(Timestamp, f64)>,
         policy: KernelPolicy,

@@ -172,15 +172,10 @@ pub struct PassSpec {
 }
 
 /// Records one gated pass body's kernel telemetry: how many chunks its
-/// policy splits `items` into (`kernels/chunks`), skipped under
-/// [`KernelPolicy::Reference`] where no chunked kernel runs.
-///
-/// [`KernelPolicy::Reference`]: crate::kernels::KernelPolicy::Reference
+/// policy splits `items` into (`kernels/chunks`).
 fn record_kernel_chunks(ctx: &AnalysisContext, obs: &Obs, items: usize) {
-    if !ctx.kernels.is_reference() {
-        obs.histogram("kernels/chunks")
-            .record(ctx.kernels.chunks(items).len() as u64);
-    }
+    obs.histogram("kernels/chunks")
+        .record(ctx.kernels.chunks(items).len() as u64);
 }
 
 fn pass_protocols(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {

@@ -48,7 +48,7 @@ use crate::target::recurrence::RecurrenceAnalysis;
 /// Non-exhaustive so future flags don't break downstream construction:
 /// build one with [`PipelineOptions::new`] (or `default()`) and the
 /// builder-style setters, e.g.
-/// `PipelineOptions::new().parallel(false).kernels(KernelPolicy::Reference)`.
+/// `PipelineOptions::new().parallel(false).kernels(KernelPolicy::Chunked(1))`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PipelineOptions {
@@ -63,11 +63,10 @@ pub struct PipelineOptions {
     /// code runs and the report bytes are identical (the conformance
     /// suite asserts this); only the telemetry artifact is empty.
     pub telemetry: bool,
-    /// Which pass-body kernels to run: the chunked partial-merge
-    /// kernels (`Auto`, the default; `Chunked` forces a chunk length)
-    /// or the pre-kernel reference algorithms (`Reference`). Report
-    /// bytes are identical for every policy — the golden suite and the
-    /// kernel proptests pin this.
+    /// How the chunked partial-merge pass kernels cut their input:
+    /// one chunk per worker (`Auto`, the default) or a forced chunk
+    /// length (`Chunked`). Report bytes are identical for every
+    /// policy — the golden suite and the kernel proptests pin this.
     pub kernels: KernelPolicy,
 }
 

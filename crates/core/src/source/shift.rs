@@ -67,11 +67,7 @@ impl ShiftAnalysis {
         let num_weeks = ctx.records.window().num_weeks();
         let mut weeks = Self::empty_weeks(num_weeks);
         for fc in ctx.families() {
-            if ctx.kernels.is_reference() {
-                Self::classify_family(&mut weeks, &fc.weekly_bots);
-            } else {
-                Self::classify_family_dense(&mut weeks, &fc.weekly_bots, ctx.kernels);
-            }
+            Self::classify_family_dense(&mut weeks, &fc.weekly_bots, ctx.kernels);
         }
         ShiftAnalysis { weeks }
     }
@@ -89,12 +85,8 @@ impl ShiftAnalysis {
     /// Classifies one family's weekly bot populations into existing- vs
     /// new-country shifts and accumulates the counts. Per-bot counts
     /// depend only on the *set* of countries seen so far, so map
-    /// iteration order (and therefore the caller's choice of hasher)
-    /// cannot affect the result.
-    fn classify_family<S: std::hash::BuildHasher>(
-        weeks: &mut [WeekShift],
-        weekly: &[HashMap<IpAddr4, CountryCode, S>],
-    ) {
+    /// iteration order cannot affect the result.
+    fn classify_family(weeks: &mut [WeekShift], weekly: &[HashMap<IpAddr4, CountryCode>]) {
         let mut seen: HashSet<CountryCode> = HashSet::new();
         for (w, bots_this_week) in weekly.iter().enumerate() {
             let fresh: HashSet<CountryCode> = bots_this_week

@@ -78,13 +78,10 @@ pub fn overall_top_countries<'a>(
 /// The chunked profile kernel behind [`all_profiles`]: one scan over
 /// the trace accumulates a dense `(family, country)` count grid as
 /// per-chunk integer partials (disjoint cells, so any chunking merges
-/// to the same counts), replacing the reference path's one full-trace
+/// to the same counts), replacing [`all_profiles`]' one full-trace
 /// scan *per family*. Ranking then runs on the grid alone, with the
 /// same total order as [`all_profiles`] — identical profiles.
 pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCountryProfile> {
-    if ctx.kernels.is_reference() {
-        return all_profiles(ctx.records);
-    }
     let attacks = ctx.records.attacks();
     // `Family::ACTIVE` lists the variants in discriminant order, so the
     // discriminant doubles as the row index.
@@ -116,9 +113,6 @@ pub fn overall_top_countries_ctx(
     ctx: &crate::context::AnalysisContext,
     k: usize,
 ) -> Vec<(CountryCode, usize)> {
-    if ctx.kernels.is_reference() {
-        return overall_top_countries(ctx.records, k);
-    }
     let attacks = ctx.records.attacks();
     let mut row = vec![0u32; CC_SLOTS];
     for range in ctx.kernels.chunks(attacks.len()) {
@@ -199,7 +193,6 @@ mod tests {
         let expect_profiles = serde_json::to_string(&all_profiles(&ds)).unwrap();
         let expect_top = overall_top_countries(&ds, 3);
         for policy in [
-            KernelPolicy::Reference,
             KernelPolicy::Auto,
             KernelPolicy::Chunked(1),
             KernelPolicy::Chunked(2),

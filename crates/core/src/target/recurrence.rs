@@ -131,11 +131,7 @@ impl RecurrenceAnalysis {
             })
             .collect();
         trains.sort_by(|a, b| b.len().cmp(&a.len()).then(a.target.cmp(&b.target)));
-        let outcomes = if ctx.kernels.is_reference() {
-            score_trains(&trains)
-        } else {
-            score_trains_kernel(&trains, ctx.kernels)
-        };
+        let outcomes = score_trains_kernel(&trains, ctx.kernels);
         RecurrenceAnalysis { trains, outcomes }
     }
 

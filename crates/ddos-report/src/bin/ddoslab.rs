@@ -412,15 +412,9 @@ fn cmd_import_csv(args: &[String]) -> Result<(), String> {
     if merge_gap.get() > 0 {
         records = ddos_analytics::preprocess::merge_attack_records(records, merge_gap);
     }
-    let (start, end) = records.iter().fold((i64::MAX, i64::MIN), |(s, e), a| {
-        (s.min(a.start.unix()), e.max(a.end.unix() + 1))
-    });
-    let window = if records.is_empty() {
-        Window::PAPER
-    } else {
-        Window::new(ddos_schema::Timestamp(start), ddos_schema::Timestamp(end))
-            .map_err(|e| e.to_string())?
-    };
+    let window = csv::covering_window(&records)
+        .map_err(|e| e.to_string())?
+        .unwrap_or(Window::PAPER);
     let mut builder = DatasetBuilder::new(window);
     let merged = records.len();
     builder.extend_attacks(records).map_err(|e| e.to_string())?;

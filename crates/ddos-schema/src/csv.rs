@@ -19,7 +19,9 @@ use std::fmt::Write as _;
 
 use crate::error::SchemaError;
 use crate::record::{AttackRecord, Location};
-use crate::{Asn, BotnetId, CityId, DdosId, Family, IpAddr4, LatLon, OrgId, Protocol, Timestamp};
+use crate::{
+    Asn, BotnetId, CityId, DdosId, Family, IpAddr4, LatLon, OrgId, Protocol, Timestamp, Window,
+};
 
 /// The header row this module writes and requires on input.
 pub const HEADER: &str = "ddos_id,botnet_id,family,category,target_ip,timestamp,end_time,\
@@ -79,6 +81,22 @@ pub fn attacks_from_csv(text: &str) -> Result<Vec<AttackRecord>, SchemaError> {
         out.push(parse_line(lineno, line, &mut fields)?);
     }
     Ok(out)
+}
+
+/// The window an import of `records` is analyzed over: from the
+/// earliest start to one second past the latest end, or `None` when
+/// there are no records. Errors when that span is not a valid
+/// [`Window`] — in particular when it is longer than
+/// [`Window::MAX_LENGTH`], as a corrupt or hand-edited timestamp makes
+/// it.
+pub fn covering_window(records: &[AttackRecord]) -> Result<Option<Window>, SchemaError> {
+    let (Some(start), Some(end)) = (
+        records.iter().map(|a| a.start).min(),
+        records.iter().map(|a| a.end).max(),
+    ) else {
+        return Ok(None);
+    };
+    Window::new(start, Timestamp(end.0.saturating_add(1))).map(Some)
 }
 
 /// Parallel variant of [`attacks_from_csv`]: the line index is built in

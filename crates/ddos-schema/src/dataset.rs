@@ -113,8 +113,9 @@ impl<'de> Deserialize<'de> for Dataset {
                 return Err(D::Error::custom(format!("duplicate attack id {}", atk.id)));
             }
         }
+        let window = Window::new(wire.window.start, wire.window.end).map_err(D::Error::custom)?;
         let mut ds = Dataset {
-            window: wire.window,
+            window,
             attacks: wire.attacks,
             bots: wire.bots,
             botnets: wire.botnets,

@@ -251,7 +251,16 @@ impl Window {
         end: Timestamp::from_date(2013, 3, 24),
     };
 
-    /// Creates a window; `end` must not precede `start`.
+    /// The longest window [`Window::new`] accepts: 200 years of 366
+    /// days. The analyses allocate per-day and per-week state, so an
+    /// absurd window (a corrupt or hand-edited timestamp decades or
+    /// eons away) would abort on allocation instead of erroring; any
+    /// real collection window is far shorter.
+    pub const MAX_LENGTH: Seconds = Seconds::days(200 * 366);
+
+    /// Creates a window; `end` must not precede `start`, and the length
+    /// must not exceed [`Window::MAX_LENGTH`] (computed without
+    /// overflow for any pair of timestamps).
     pub fn new(start: Timestamp, end: Timestamp) -> Result<Window, SchemaError> {
         if end < start {
             return Err(SchemaError::OutOfRange {
@@ -259,7 +268,13 @@ impl Window {
                 expected: "end >= start",
             });
         }
-        Ok(Window { start, end })
+        match end.0.checked_sub(start.0) {
+            Some(len) if len <= Self::MAX_LENGTH.0 => Ok(Window { start, end }),
+            _ => Err(SchemaError::OutOfRange {
+                what: "window length",
+                expected: "at most 200 years",
+            }),
+        }
     }
 
     /// Whether the instant falls inside `[start, end)`.
@@ -411,6 +426,23 @@ mod tests {
     fn window_rejects_inverted_bounds() {
         assert!(Window::new(Timestamp(10), Timestamp(5)).is_err());
         assert!(Window::new(Timestamp(5), Timestamp(5)).is_ok());
+        // Lengths up to the cap are fine, including a 0..4e9 s window.
+        assert!(Window::new(Timestamp(0), Timestamp(4_000_000_000)).is_ok());
+        let max = Timestamp(0) + Window::MAX_LENGTH;
+        assert_eq!(
+            Window::new(Timestamp(0), max).unwrap().length(),
+            Window::MAX_LENGTH
+        );
+        // One second past the cap, and spans whose length overflows
+        // `i64`, are rejected rather than wrapped.
+        assert!(Window::new(Timestamp(0), max + Seconds(1)).is_err());
+        assert!(Window::new(
+            Timestamp(-9_223_372_036_854_775_807),
+            Timestamp(1_346_294_093)
+        )
+        .is_err());
+        assert!(Window::new(Timestamp(i64::MIN), Timestamp(i64::MAX)).is_err());
+        assert!(Window::new(Timestamp(-9_223_372_036_854_775_807), Timestamp(0)).is_err());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use ddos_analytics::target::recurrence::TargetTrain;
 use ddos_analytics::{
     AnalysisReport, AppendStats, IncrementalPipeline, PipelineError, PipelineOptions,
 };
-use ddos_obs::{names, Obs};
+use ddos_obs::{names, Counter, Gauge, Histogram, Obs};
 use ddos_schema::{CountryCode, Dataset, IpAddr4, Seconds};
 use parking_lot::{Mutex, RwLock};
 
@@ -93,8 +93,34 @@ pub struct AnalysisService<'d> {
     writer: Mutex<IncrementalPipeline<'d>>,
     published: RwLock<Option<Arc<Snapshot>>>,
     obs: &'d Obs,
+    metrics: Metrics,
     epochs: usize,
     inflight: AtomicU64,
+}
+
+/// The service's metric handles, resolved once at construction: a
+/// registry lookup takes the registry's mutex, so the read and write
+/// paths record through these instead of looking names up per call.
+struct Metrics {
+    inflight: Arc<Gauge>,
+    query_us: Arc<Histogram>,
+    queries_answered: Arc<Counter>,
+    watermark: Arc<Gauge>,
+    append_faults: Arc<Counter>,
+    append_us: Arc<Histogram>,
+}
+
+impl Metrics {
+    fn resolve(obs: &Obs) -> Metrics {
+        Metrics {
+            inflight: obs.gauge(names::SERVE_INFLIGHT),
+            query_us: obs.histogram(names::SERVE_QUERY_US),
+            queries_answered: obs.counter(names::SERVE_QUERIES_ANSWERED),
+            watermark: obs.gauge(names::SERVE_WATERMARK),
+            append_faults: obs.counter(names::SERVE_APPEND_FAULTS),
+            append_us: obs.histogram(names::SERVE_APPEND_US),
+        }
+    }
 }
 
 impl<'d> AnalysisService<'d> {
@@ -114,6 +140,7 @@ impl<'d> AnalysisService<'d> {
             writer: Mutex::new(pipeline),
             published: RwLock::new(None),
             obs,
+            metrics: Metrics::resolve(obs),
             epochs,
             inflight: AtomicU64::new(0),
         }
@@ -159,23 +186,19 @@ impl<'d> AnalysisService<'d> {
                             epochs: self.epochs,
                             report,
                         });
-                        self.obs
-                            .gauge(names::SERVE_WATERMARK)
-                            .set(snap.watermark as u64);
+                        self.metrics.watermark.set(snap.watermark as u64);
                         *self.published.write() = Some(snap);
                     }
                 }
             }
             Err(_) => {
-                self.obs.counter(names::SERVE_APPEND_FAULTS).inc();
+                self.metrics.append_faults.inc();
             }
         }
         drop(writer);
         let end = self.obs.now_us();
         self.obs.record_span(names::SERVE_APPEND, start, end);
-        self.obs
-            .histogram(names::SERVE_APPEND_US)
-            .record(end.saturating_sub(start));
+        self.metrics.append_us.record(end.saturating_sub(start));
         result
     }
 
@@ -198,7 +221,7 @@ impl<'d> AnalysisService<'d> {
     fn answer<T>(&self, name: &str, f: impl FnOnce(&AnalysisReport) -> T) -> Option<Answer<T>> {
         let start = self.obs.now_us();
         let inflight = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        self.obs.gauge(names::SERVE_INFLIGHT).record_max(inflight);
+        self.metrics.inflight.record_max(inflight);
         let snap = self.snapshot();
         let out = snap.map(|snap| Answer {
             watermark: snap.watermark,
@@ -209,11 +232,9 @@ impl<'d> AnalysisService<'d> {
         let end = self.obs.now_us();
         self.obs
             .record_span(format!("{}/{name}", names::SERVE_QUERY), start, end);
-        self.obs
-            .histogram(names::SERVE_QUERY_US)
-            .record(end.saturating_sub(start));
+        self.metrics.query_us.record(end.saturating_sub(start));
         if out.is_some() {
-            self.obs.counter(names::SERVE_QUERIES_ANSWERED).inc();
+            self.metrics.queries_answered.inc();
         }
         out
     }

@@ -46,6 +46,38 @@ fn queries_before_the_first_publish_return_none() {
 }
 
 #[test]
+fn answered_queries_are_counted_once_each() {
+    let ds = small();
+    let obs = Obs::enabled();
+    let service = AnalysisService::new(&ds, PipelineOptions::default(), epoch_len(&ds, 3), &obs);
+    service.ingest_all().expect("clean ingest");
+    let n = 25u64;
+    for i in 0..n {
+        let answered = match i % 7 {
+            0 => service.top_targets(3).is_some(),
+            1 => service.family_breakdown().is_some(),
+            2 => service
+                .target_timeline(ddos_schema::IpAddr4::from_octets(203, 0, 113, 1))
+                .is_some(),
+            3 => service.collaboration_groups().is_some(),
+            4 => service.shift_series().is_some(),
+            5 => service.dispersion_series().is_some(),
+            _ => service.blacklist_verdicts().is_some(),
+        };
+        assert!(answered, "query {i} unanswered after a full ingest");
+    }
+    assert_eq!(obs.counter(names::SERVE_QUERIES_ANSWERED).get(), n);
+    assert_eq!(obs.histogram(names::SERVE_QUERY_US).count(), n);
+    let t = obs.finish(false);
+    assert_eq!(t.metrics.counter(names::SERVE_QUERIES_ANSWERED), Some(n));
+    let hist = t
+        .metrics
+        .histogram(names::SERVE_QUERY_US)
+        .expect("query histogram registered");
+    assert_eq!(hist.count, n);
+}
+
+#[test]
 fn every_watermark_answers_like_a_fresh_prefix_run() {
     let ds = small();
     let len = epoch_len(&ds, 5);

@@ -2,7 +2,7 @@
 //! conformance driver and the fault-injection harness.
 //!
 //! The workspace has accumulated many ways to compute the same report —
-//! serial vs crossbeam scheduling, `Reference` vs `Chunked` kernels,
+//! serial vs crossbeam scheduling, per-worker vs forced kernel chunkings,
 //! monolithic vs epoch-folded vs incremental vs streamed builds, v1 vs
 //! framed-v2 vs memory-mapped ingest. The paper's findings only hold if
 //! every combination agrees byte for byte. This crate makes that a
@@ -10,7 +10,12 @@
 //!
 //! * [`baseline`] — the pre-refactor monolithic pipeline
 //!   ([`baseline_report`]), the one oracle that shares no code with
-//!   the context-based engine.
+//!   the context-based engine. Its `compute(ds)` bodies are the serial
+//!   algorithms every chunked pass kernel is held byte-equal to.
+//! * [`reference`] — the pre-columnar context build
+//!   ([`reference_context_parts`]) and the check that holds a context's
+//!   analysis inputs to it bit for bit
+//!   ([`assert_context_matches_reference`]).
 //! * [`variant`] — the lattice itself: a [`Cell`] names one point
 //!   (ingest × build × scheduler × kernels), [`matrix`] enumerates the
 //!   curated ≥24-cell coverage set, [`matrix_full`] the exhaustive
@@ -34,6 +39,7 @@
 pub mod baseline;
 pub mod conformance;
 pub mod faults;
+pub mod reference;
 pub mod serve;
 pub mod soak;
 pub mod variant;
@@ -48,6 +54,7 @@ pub use conformance::{
     report_digest, small_dataset, small_trace,
 };
 pub use faults::inject_and_recover;
+pub use reference::{assert_context_matches_reference, reference_context_parts, ContextParts};
 pub use serve::check_serve_conformance;
 pub use soak::{run_soak, SoakFailure, SoakOptions, SoakRound, SoakSummary};
 pub use variant::{matrix, matrix_full, Build, Cell, CellError, Ingest, Kernels, Scheduler};

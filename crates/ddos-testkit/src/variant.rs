@@ -78,8 +78,6 @@ pub enum Scheduler {
 /// [`ddos_analytics::KernelPolicy`] so cells print compactly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernels {
-    /// The pre-kernel reference pass bodies.
-    Reference,
     /// Chunked kernels, one chunk per available worker.
     Auto,
     /// Chunked kernels with a fixed chunk size.
@@ -89,7 +87,6 @@ pub enum Kernels {
 impl Kernels {
     fn policy(self) -> KernelPolicy {
         match self {
-            Kernels::Reference => KernelPolicy::Reference,
             Kernels::Auto => KernelPolicy::Auto,
             Kernels::Chunked(n) => KernelPolicy::Chunked(n),
         }
@@ -164,7 +161,6 @@ impl fmt::Display for Cell {
             Scheduler::Parallel => "parallel",
         };
         let kernels = match self.kernels {
-            Kernels::Reference => "reference".to_string(),
             Kernels::Auto => "auto".to_string(),
             Kernels::Chunked(n) => format!("chunked({n})"),
         };
@@ -273,11 +269,13 @@ const BUILDS: [Build; 4] = [
     },
 ];
 
+/// `Chunked(usize::MAX)` is the one-chunk cut: every kernel merges a
+/// single partial.
 const KERNELS: [Kernels; 4] = [
-    Kernels::Reference,
     Kernels::Auto,
     Kernels::Chunked(1),
     Kernels::Chunked(3),
+    Kernels::Chunked(usize::MAX),
 ];
 
 const INGESTS: [Ingest; 4] = [
@@ -332,7 +330,7 @@ pub fn matrix() -> Vec<Cell> {
         ingest: Ingest::Native,
         build: Build::Baseline,
         scheduler: Scheduler::Serial,
-        kernels: Kernels::Reference,
+        kernels: Kernels::Auto,
     });
     cells.push(Cell {
         ingest: Ingest::Native,
@@ -371,7 +369,7 @@ pub fn matrix_full() -> Vec<Cell> {
             ingest,
             build: Build::Baseline,
             scheduler: Scheduler::Serial,
-            kernels: Kernels::Reference,
+            kernels: Kernels::Auto,
         });
     }
     cells

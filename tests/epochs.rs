@@ -314,7 +314,7 @@ fn incremental_pipeline_on_sim_trace_matches_batch() {
 /// Appends every epoch to a plain pipeline (there is no `prefix_exact()`
 /// opt-in to take: every pipeline is prefix-exact) and checks each
 /// watermark's snapshot against a fresh monolithic run over the copied
-/// epoch prefix, under every kernel-policy family.
+/// epoch prefix, under the per-worker and the one-element chunking.
 fn assert_every_watermark_is_a_prefix_report(ds: &Dataset, epoch_len: Seconds) {
     let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
     let shards = ds.shards(epoch_len).len();
@@ -322,11 +322,7 @@ fn assert_every_watermark_is_a_prefix_report(ds: &Dataset, epoch_len: Seconds) {
     let want: Vec<String> = (1..=shards)
         .map(|w| json(&Analysis::new(&ds.epoch_prefix(epoch_len, w)).run()))
         .collect();
-    for policy in [
-        KernelPolicy::Reference,
-        KernelPolicy::Auto,
-        KernelPolicy::Chunked(1),
-    ] {
+    for policy in [KernelPolicy::Auto, KernelPolicy::Chunked(1)] {
         let opts = PipelineOptions::new()
             .parallel(false)
             .telemetry(false)

@@ -12,7 +12,7 @@
 
 use std::sync::OnceLock;
 
-use ddos_schema::{codec, csv, framed, Dataset, SchemaError};
+use ddos_schema::{codec, csv, framed, Dataset, DatasetBuilder, SchemaError, Timestamp, Window};
 use ddos_sim::{generate, SimConfig};
 use proptest::prelude::*;
 
@@ -144,6 +144,43 @@ fn truncated_directory_errors_never_panic() {
     for len in [start, start + 1, clean.len() - 1] {
         assert!(framed::decode(&clean[..len]).is_err());
     }
+}
+
+/// A timestamp eons before the paper's window: its span to any real
+/// end time overflows `i64`, and the analyses would size per-day and
+/// per-week state from it.
+const EON_AGO: i64 = -9_223_372_036_854_775_807;
+
+#[test]
+fn an_eon_long_window_errors_at_import_never_panics() {
+    // The one-row CSV imports its records fine, but the window covering
+    // them is rejected instead of reaching the analyses.
+    let text = format!(
+        "{}\n1,18,dirtjumper,HTTP,5.229.128.119,{EON_AGO},1346294092,8483,RU,2519,4963,\
+         56.16225562906844,38.91957001680759,2.144.224.9 2.144.227.16\n",
+        csv::HEADER
+    );
+    let records = csv::attacks_from_csv(&text).expect("the row itself is well-formed");
+    let err = csv::covering_window(&records).expect_err("eon-long window accepted");
+    assert!(err.to_string().contains("window length"), "{err}");
+    assert_eq!(csv::covering_window(&[]).unwrap(), None);
+
+    // Containers that carry such a window in their header error on
+    // decode, on every path (`Window`'s fields are public, so a writer
+    // can build one without `Window::new`).
+    let window = Window {
+        start: Timestamp(EON_AGO),
+        end: Timestamp(1_346_294_093),
+    };
+    let ds = DatasetBuilder::new(window)
+        .build()
+        .expect("empty dataset builds");
+    assert!(codec::decode(&codec::encode(&ds)).is_err(), "v1 accepted");
+    assert!(framed::decode(&framed::encode(&ds)).is_err(), "v2 accepted");
+    assert!(
+        codec::from_json(&codec::to_json(&ds)).is_err(),
+        "json accepted"
+    );
 }
 
 #[test]

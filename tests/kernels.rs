@@ -1,7 +1,9 @@
 //! Kernel-equivalence property suite (DESIGN.md §12).
 //!
 //! The chunked pass kernels promise byte-identical reports to the
-//! reference pass bodies for *any* chunking. The golden-report
+//! serial algorithms they replaced for *any* chunking. Those algorithms
+//! are the public `compute(ds)` functions, and
+//! `ddos_testkit::baseline_report` runs exactly them. The golden-report
 //! suite pins that on the canonical trace; this suite extends it to
 //! arbitrary simulated traces and adversarial chunk sizes — size 1
 //! (every element its own chunk), a size that never divides the input
@@ -18,6 +20,7 @@ use ddos_analytics::collab::concurrent::CollabAnalysis;
 use ddos_analytics::{Analysis, AnalysisContext, KernelPolicy};
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
+use ddos_testkit::baseline_report;
 use proptest::prelude::*;
 
 fn report_json(ds: &ddos_schema::Dataset, kernels: KernelPolicy, parallel: bool) -> String {
@@ -36,9 +39,9 @@ proptest! {
     // in each module already sweep chunk sizes on crafted fixtures).
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every kernel policy — reference, auto, and forced chunk sizes
-    /// including 1 and one larger than the trace — produces the same
-    /// report bytes, serial and parallel.
+    /// Every kernel policy — auto, and forced chunk sizes including 1
+    /// and one larger than the trace — produces the baseline report's
+    /// bytes, serial and parallel.
     #[test]
     fn chunked_kernels_match_reference_bytes_for_any_config(
         seed in 0u64..(1u64 << 48),
@@ -59,7 +62,8 @@ proptest! {
         };
         let trace = generate(&cfg);
         let ds = &trace.dataset;
-        let want = report_json(ds, KernelPolicy::Reference, true);
+        let want = serde_json::to_string(&baseline_report(ds, ArimaSpec::DEFAULT))
+            .expect("report serializes");
         for policy in [
             KernelPolicy::Auto,
             KernelPolicy::Chunked(chunk),
@@ -69,14 +73,15 @@ proptest! {
             KernelPolicy::Chunked(ds.len() + ds.bots().len() + 1),
         ] {
             let got = report_json(ds, policy, true);
-            prop_assert!(got == want, "{policy:?} parallel diverged from the reference bytes");
+            prop_assert!(got == want, "{policy:?} parallel diverged from the baseline bytes");
         }
         // Serial scheduling must not interact with chunking either.
         prop_assert_eq!(&report_json(ds, KernelPolicy::Chunked(chunk), false), &want);
     }
 
     /// The sort-sweep concurrent-attack detector reproduces the
-    /// pairwise reference scan exactly on arbitrary traces (the unit
+    /// pairwise scan of `CollabAnalysis::compute` exactly on arbitrary
+    /// traces (the unit
     /// suite pins crafted chain/window fixtures; this covers simulated
     /// collaboration injection).
     #[test]
@@ -95,7 +100,7 @@ proptest! {
         let trace = generate(&cfg);
         let ctx = AnalysisContext::build(&trace.dataset, ArimaSpec::DEFAULT);
         let sweep = CollabAnalysis::compute_ctx(&ctx);
-        let pairwise = CollabAnalysis::compute_ctx_reference(&ctx);
+        let pairwise = CollabAnalysis::compute(&trace.dataset);
         prop_assert_eq!(
             serde_json::to_string(&sweep).expect("collab serializes"),
             serde_json::to_string(&pairwise).expect("collab serializes")

@@ -3,9 +3,9 @@
 //! round-trips, and the pre-refactor baseline — serializes to the exact
 //! same report, on simulated traces and on arbitrary small datasets.
 //! Likewise for the context build underneath: the columnar parallel
-//! build, the columnar serial build, forced chunkings of the family
-//! resolver, and the pre-columnar reference build carry bit-identical
-//! analysis inputs.
+//! build, the columnar serial build, and forced chunkings of the family
+//! resolver carry the analysis inputs of the pre-columnar build
+//! (`ddos_testkit::reference_context_parts`), bit for bit.
 //!
 //! The variant enumeration itself lives in `ddos_testkit::matrix` (one
 //! definition shared with the golden suite and the soak loop); this
@@ -20,23 +20,22 @@ use ddos_schema::{
 };
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
-use ddos_testkit::{assert_cells_agree, matrix, small_dataset};
+use ddos_testkit::{assert_cells_agree, assert_context_matches_reference, matrix, small_dataset};
 use proptest::prelude::*;
 
-/// Builds the context every way and asserts the analysis inputs
-/// (dispersion series bit-for-bit, weekly bot maps, timelines) agree:
-/// the columnar serial and parallel builds, the family resolver under
-/// forced chunkings (every family attack its own chunk, and a length
-/// that never divides evenly), and the pre-columnar reference build.
-/// Digest agreement across matrix cells checks the *outputs*; this
-/// checks the intermediate inputs, so a compensating double-bug cannot
-/// slip through.
+/// Builds the context every way and holds each one's analysis inputs
+/// (dispersion series bit-for-bit, weekly bot maps, timelines) to the
+/// pre-columnar build: the columnar serial and parallel builds, and
+/// the family resolver under forced chunkings (every family attack its
+/// own chunk, and a length that never divides evenly). Digest agreement
+/// across matrix cells checks the *outputs*; this checks the
+/// intermediate inputs, so a compensating double-bug cannot slip
+/// through.
 fn assert_context_builds_agree(ds: &Dataset) {
-    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
-    let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let parallel = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-    reference.assert_same_analysis(&serial);
-    reference.assert_same_analysis(&parallel);
+    for parallel in [false, true] {
+        let ctx = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, parallel);
+        assert_context_matches_reference(ds, &ctx);
+    }
     for chunk in [1, 3] {
         let chunked = AnalysisContext::build_kernels(
             ds,
@@ -45,7 +44,7 @@ fn assert_context_builds_agree(ds: &Dataset) {
             KernelPolicy::Chunked(chunk),
             &Obs::disabled(),
         );
-        reference.assert_same_analysis(&chunked);
+        assert_context_matches_reference(ds, &chunked);
     }
 }
 
